@@ -29,7 +29,7 @@ the paper's own level of abstraction for the front end.
 
 The main loop has three gears.  The reference stepper
 (:meth:`Processor.step`) advances one cycle at a time; the *event-horizon*
-fast path (``fast_path=True``, the default) detects cycles where the
+fast path (``gear="horizon"``) detects cycles where the
 machine provably does nothing - commit idle, no scheduler entry awake,
 rename stalled on a branch-penalty window, a full ROB/cluster, or an
 exhausted trace - and jumps ``cycle`` straight to the next event (earliest
@@ -40,8 +40,11 @@ for the skipped range.  The third gear (``gear="specialized"``,
 frozen configuration - constants baked in, per-cycle dispatch flattened,
 the event-horizon jump inlined - and falls back to the generic gears
 mid-run when a guard condition (a deadlock-breaking move) leaves the
-specialized envelope.  Every statistic is bit-identical across all three
-gears; see ``docs/architecture.md`` ("Performance") for the argument.
+specialized envelope.  By default (``gear=None``) a processor runs on
+the fastest gear it admits: specialized unless an entry guard blocks
+it, else horizon unless renaming implementation 1 rules that out, else
+reference.  Every statistic is bit-identical across all three gears;
+see ``docs/architecture.md`` ("Performance") for the argument.
 
 Typical use::
 
@@ -87,7 +90,16 @@ class DeadlockedPipeline(ReproError):
 
 
 class Processor:
-    """One simulated machine instance bound to one trace."""
+    """One simulated machine instance bound to one trace.
+
+    ``gear`` picks the main loop: ``"reference"``, ``"horizon"`` or
+    ``"specialized"`` request that gear (a blocked faster gear degrades
+    to the next slower one), and ``None`` - the default - runs on the
+    fastest gear the configuration and attachments admit.
+    ``fast_path=False`` with ``gear=None`` forces the reference stepper.
+    After construction :attr:`gear` names the gear that engaged (it can
+    drop to a generic gear mid-run; see :attr:`despecializations`).
+    """
 
     def __init__(
         self,
@@ -105,8 +117,9 @@ class Processor:
         self.config = config
         self.check_invariants = check_invariants
         # Gear selection: ``gear`` is the explicit three-speed knob
-        # ("reference" | "horizon" | "specialized"); when omitted the
-        # legacy ``fast_path`` flag picks between the first two.
+        # ("reference" | "horizon" | "specialized").  When omitted, the
+        # fastest gear the run admits engages; ``fast_path=False`` still
+        # forces the reference stepper.
         if gear is not None:
             from repro.core.specialize import GEARS
 
@@ -216,14 +229,19 @@ class Processor:
             self.obs = Observer(self, tracer=tracer)
 
         # Third gear: the config-specialized stepper (repro.core.
-        # specialize).  Built last so its entry guards see the fully
-        # assembled machine; blocked processors (sanitized, observed,
-        # rename_impl=1, paranoid WSRS checking) silently keep the
-        # generic gears - the ``gear`` attribute reports what actually
-        # engaged.  ``despecializations`` counts mid-run guard trips.
+        # specialize), requested explicitly or by default.  Built last so
+        # its entry guards see the fully assembled machine; blocked
+        # processors (sanitized, observed, rename_impl=1, paranoid WSRS
+        # checking) silently keep the generic gears - the ``gear``
+        # attribute reports what actually engaged.  The stored stepper is
+        # the generated function itself, called with this processor as
+        # its argument: a closure bound to ``self`` would make every
+        # processor a reference cycle that outlives its run until a
+        # full garbage collection.  ``despecializations`` counts mid-run
+        # guard trips.
         self._specialized_run = None
         self.despecializations = 0
-        if gear == "specialized":
+        if gear == "specialized" or (gear is None and fast_path):
             from repro.core.specialize import build_specialized_runner
 
             self._specialized_run = build_specialized_runner(self)
@@ -262,7 +280,7 @@ class Processor:
         # threshold is exactly the historical cycle-based one.
         runner = self._specialized_run
         if runner is not None:
-            if runner(committed_target):
+            if runner(self, committed_target):
                 return
             # A specialization guard tripped (deadlock-breaking move):
             # the specialized stepper finished the trip cycle with

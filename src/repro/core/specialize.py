@@ -9,8 +9,10 @@ trace-based *speculate / guard / commit* specialization pattern to the
 simulator itself: given a frozen :class:`~repro.config.MachineConfig`,
 :func:`build_specialized_runner` generates Python source for a run loop
 with every configuration constant baked in as a literal, compiles it
-once with :func:`compile`/``exec``, and returns a closure bound to one
-:class:`~repro.core.processor.Processor`.
+once with :func:`compile`/``exec``, and returns the generated function,
+which takes the :class:`~repro.core.processor.Processor` it runs as its
+first argument.  Processors engage this gear by default whenever no
+entry guard blocks it.
 
 What the generated stepper bakes in
 -----------------------------------
@@ -47,7 +49,9 @@ gears without statistics divergence:
   sanitizer or observer/tracer (their hooks must fire every cycle),
   renaming implementation 1 (its free-list state mutates even on idle
   cycles), and paranoid per-uop read-legality checking.  A blocked
-  processor simply keeps the event-horizon gear.
+  processor simply keeps the event-horizon gear (the reference stepper
+  under implementation 1, which the horizon refuses for the same
+  reason).
 * **mid-run guard**: a deadlock-breaking move.  The generated code
   executes the move cycle with exactly the reference semantics (charge,
   debt carry-over, ``stats.deadlock_moves``), finishes the cycle, then
@@ -150,7 +154,6 @@ def generate_stepper_source(config: MachineConfig) -> str:
     nc = config.num_clusters
     muldiv_tracked = (not config.pipelined_muldiv) or config.shared_muldiv
     unit_ci = "_ci // 2" if config.shared_muldiv else "_ci"
-    unit_cl = "cluster // 2" if config.shared_muldiv else "cluster"
     sub = _subset_exprs(config)
     cluster_range = tuple(range(nc))
     lat_size = max(int(op) for op in OpClass) + 1
@@ -180,9 +183,9 @@ def generate_stepper_source(config: MachineConfig) -> str:
                                 live = True
                                 break"""
         muldiv_horizon = """\
-                    for _b in busy_until:
-                        if cycle < _b < horizon:
-                            horizon = _b"""
+                for _b in busy_until:
+                    if cycle < _b < horizon:
+                        horizon = _b"""
         unpark_muldiv = f"""\
                     _pmd = parked_mds[_ci]
                     if _pmd and busy_until[{unit_ci}] <= cycle:
@@ -210,11 +213,11 @@ def generate_stepper_source(config: MachineConfig) -> str:
         if not config.pipelined_muldiv:
             muldiv_exec = f"""\
                         if _op == OP_IMULDIV:
-                            busy_until[{unit_cl}] = _rc"""
+                            busy_until[{unit_ci}] = _rc"""
         else:  # pipelined but shared: one operation per cycle per pair
             muldiv_exec = f"""\
                         if _op == OP_IMULDIV:
-                            busy_until[{unit_cl}] = cycle + 1"""
+                            busy_until[{unit_ci}] = cycle + 1"""
     else:
         localize_muldiv = ""
         parked_live = ""
@@ -1072,14 +1075,16 @@ def _specialized_run(proc, committed_target):
     return src
 
 
-def build_specialized_runner(processor) -> Optional[Callable[[int], bool]]:
+def build_specialized_runner(processor) -> Optional[Callable[..., bool]]:
     """Compile the specialized stepper for ``processor``; None if blocked.
 
-    The returned callable has the signature ``runner(committed_target)
-    -> bool``: True when the target was reached (or the trace drained)
-    inside the specialized envelope, False when a guard tripped and the
-    caller must fall back to the generic gears (all machine state has
-    already been written back).
+    The returned function has the signature ``run(processor,
+    committed_target) -> bool``: True when the target was reached (or the
+    trace drained) inside the specialized envelope, False when a guard
+    tripped and the caller must fall back to the generic gears (all
+    machine state has already been written back).  It holds no
+    reference to ``processor``, so storing it on the processor creates
+    no reference cycle.
     """
     from repro.core.processor import DeadlockedPipeline
     from repro.frontend.fetch import FetchedInstruction
@@ -1106,9 +1111,4 @@ def build_specialized_runner(processor) -> Optional[Callable[[int], bool]]:
         "FWD": processor._forward_table,
     }
     exec(code, namespace)
-    run = namespace[SPECIALIZED_FUNC_NAME]
-
-    def runner(committed_target: int, _run=run, _proc=processor) -> bool:
-        return _run(_proc, committed_target)
-
-    return runner
+    return namespace[SPECIALIZED_FUNC_NAME]

@@ -38,7 +38,7 @@ import signal
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
     Sequence, Set
 
@@ -76,9 +76,9 @@ class RunSpec:
     #: (:mod:`repro.verify.sanitizer`).  ``False`` still honours the
     #: ``WSRS_SANITIZE`` environment switch in the worker process.
     sanitize: bool = False
-    #: Use the event-horizon fast path (bit-identical statistics; see
+    #: Allow the fast gears (bit-identical statistics; see
     #: :mod:`repro.core.processor`).  ``False`` forces the reference
-    #: per-cycle stepper.
+    #: per-cycle stepper when :attr:`gear` is ``None``.
     fast_path: bool = True
     #: Attach the observability layer (:mod:`repro.obs`): CPI-stack
     #: cycle accounting plus the counter/histogram registry.  The
@@ -86,9 +86,11 @@ class RunSpec:
     #: bit-identical to an unobserved run.
     observe: bool = False
     #: Explicit main-loop gear ("reference" | "horizon" | "specialized");
-    #: ``None`` keeps the legacy ``fast_path`` selection between the
-    #: first two.  The specialized gear falls back to the generic loop
-    #: when its guards block or trip (statistics stay bit-identical).
+    #: ``None`` runs the fastest gear the cell admits - specialized
+    #: unless an entry guard blocks it, else horizon, else reference.
+    #: The specialized gear falls back to the generic loop when its
+    #: guards block or trip (statistics stay bit-identical either way);
+    #: :attr:`RunResult.gear` records the gear that finished the run.
     gear: Optional[str] = None
 
     @property
@@ -106,6 +108,14 @@ class RunResult:
     #: ``obs["causes"]``, registry counters/histograms, steering mirror)
     #: when the spec asked for ``observe=True``; None otherwise.
     obs: Optional[dict] = None
+    #: Gear provenance, kept out of ``stats`` (whose summary the golden
+    #: digests cover): the gear that finished the run, the specialized
+    #: gear's entry-guard blockers for this cell whatever gear was
+    #: requested (empty when it admits the cell), and how many mid-run
+    #: guard trips left it.
+    gear: Optional[str] = None
+    blockers: List[str] = field(default_factory=list)
+    despecializations: int = 0
 
     @property
     def ipc(self) -> float:
@@ -169,6 +179,10 @@ def sigterm_interrupts() -> Iterator[None]:
 
 def execute(spec: RunSpec) -> RunResult:
     """Run one simulation to completion (the pool worker entry point)."""
+    # Imported here, like the processor's own gear build: the code
+    # generator stays off the start-up path of every command.
+    from repro.core.specialize import specialization_blockers
+
     trace = cached_spec_trace(spec.benchmark, spec.trace_length,
                               seed=spec.seed)
     processor = Processor(spec.config, trace,
@@ -180,7 +194,9 @@ def execute(spec: RunSpec) -> RunResult:
                           gear=spec.gear)
     stats = processor.run(measure=spec.measure, warmup=spec.warmup)
     obs = processor.obs.snapshot() if processor.obs is not None else None
-    return RunResult(spec=spec, stats=stats, obs=obs)
+    return RunResult(spec=spec, stats=stats, obs=obs, gear=processor.gear,
+                     blockers=specialization_blockers(processor),
+                     despecializations=processor.despecializations)
 
 
 def resolve_workers(workers: Optional[int]) -> int:

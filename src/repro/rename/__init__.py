@@ -1,8 +1,8 @@
 """Register renaming: map tables, free lists, WS/WSRS renamers."""
 
-from repro.rename.freelist import FreeList, RecyclingPipeline
+from repro.rename.freelist import FreeList, RotatingFreeList
 from repro.rename.maptable import MapTable
 from repro.rename.renamer import FP_FILE, INT_FILE, Renamer
 
-__all__ = ["FP_FILE", "FreeList", "INT_FILE", "MapTable",
-           "RecyclingPipeline", "Renamer"]
+__all__ = ["FP_FILE", "FreeList", "INT_FILE", "MapTable", "Renamer",
+           "RotatingFreeList"]

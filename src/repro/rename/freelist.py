@@ -1,4 +1,4 @@
-"""Free lists of physical registers, plus the recycling pipeline.
+"""Free lists of physical registers for both renaming implementations.
 
 Section 2.2 of the paper describes two implementations of Task (B) -
 assigning a free physical register to every renamed instruction - under
@@ -10,25 +10,46 @@ register write specialization:
   *recycled*: they re-enter the free list only after flowing through a
   multi-stage recycling pipeline (build lists / pack / merge / append).
   While in flight through that pipeline they are inaccessible - the
-  "residual problem" the paper notes.  :class:`RecyclingPipeline` models
-  exactly this.
+  "residual problem" the paper notes.  :class:`RotatingFreeList` models
+  one subset of this scheme.
 
 * **Implementation 2** first computes, from the subset target vector, the
   exact number of registers needed from each free list and picks only
   those.  No recycling is needed; the price is a longer renaming pipeline
-  (captured in the configuration's misprediction penalty).
+  (captured in the configuration's misprediction penalty).  Its subsets
+  are plain FIFO :class:`FreeList` objects.
 
 Registers freed at commit also traverse the recycling pipeline under
 implementation 1; under implementation 2 they return to the free list
 directly.
+
+The rotating-deque representation
+---------------------------------
+Implementation 1 moves every register of a subset through the same
+cycle - staged, then (unused) recycled, then free again - so one deque
+holds all of them, laid out as::
+
+    [ staged | free | in-transit batches, oldest first ]
+
+and three pieces of bookkeeping mark the regions: ``staged`` (the
+registers picked this cycle), ``avail`` (staged + free) and a deque of
+``depth`` batch sizes for the recycling pipeline.  The per-cycle work
+then becomes integer arithmetic plus one rotation: picking the staged
+group is ``staged = min(width, avail)``, renaming is ``popleft()``, a
+commit-time free is ``append()`` into the newest batch, and the end of
+the cycle releases the oldest batch (``avail`` grows over it) and
+rotates the unused staged registers to the tail as the newest batch.
+No register ever changes its relative order, so the free-list order is
+exactly that of an explicit pick / stage / shift-register pipeline.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List
+from itertools import islice
+from typing import Deque, Iterable
 
-from repro.errors import FreeListUnderflow
+from repro.errors import FreeListUnderflow, RenameError
 
 
 class FreeList:
@@ -47,19 +68,9 @@ class FreeList:
             raise FreeListUnderflow("free list is empty")
         return self._queue.popleft()
 
-    def pick_many(self, count: int) -> List[int]:
-        """Remove and return ``count`` registers (all or nothing)."""
-        if count > len(self._queue):
-            raise FreeListUnderflow(
-                f"asked for {count} registers, {len(self._queue)} available")
-        return [self._queue.popleft() for _ in range(count)]
-
     def release(self, register: int) -> None:
         """Return one register to the tail of the list."""
         self._queue.append(register)
-
-    def release_many(self, registers: Iterable[int]) -> None:
-        self._queue.extend(registers)
 
     def __contains__(self, register: int) -> bool:
         return register in self._queue
@@ -68,43 +79,85 @@ class FreeList:
         return len(self._queue)
 
 
-class RecyclingPipeline:
-    """The free-register recycling pipeline of implementation 1.
+class RotatingFreeList:
+    """One subset's implementation-1 registers as a single rotating deque.
 
-    A fixed-depth shift register of register batches.  Batches inserted at
-    cycle *t* become visible in the free list again ``depth`` calls to
-    :meth:`tick` later.  Registers inside the pipeline are counted by
-    :attr:`in_flight` - they exist but cannot be renamed to, which is what
-    makes implementation 1 hungrier for physical registers.
+    Holds every non-architected, non-in-flight register of the subset:
+    the group staged for renaming this cycle, the free list proper and
+    the ``depth``-stage recycling pipeline (see the module docstring for
+    the layout).  :attr:`available` and :meth:`pick`/:meth:`release`
+    cover the free region only, so deadlock-breaking moves treat this
+    object exactly like a :class:`FreeList`.
     """
 
-    def __init__(self, free_list: FreeList, depth: int) -> None:
+    def __init__(self, registers: Iterable[int], depth: int) -> None:
         if depth < 1:
             raise ValueError("recycling pipeline depth must be >= 1")
-        self.free_list = free_list
-        self.depth = depth
-        self._stages: Deque[List[int]] = deque(
-            [[] for _ in range(depth)], maxlen=depth)
-        self.in_flight = 0
+        self._queue: Deque[int] = deque(registers)
+        #: Staged plus free registers (the deque's first ``avail``).
+        self.avail = len(self._queue)
+        #: Registers picked for renaming this cycle (the first ``staged``).
+        self.staged = 0
+        #: Sizes of the in-transit batches, oldest first.
+        self.batches: Deque[int] = deque([0] * depth)
 
-    def insert(self, registers: Iterable[int]) -> None:
-        """Feed registers into the first pipeline stage."""
-        batch = list(registers)
-        self._stages[-1].extend(batch)
-        self.in_flight += len(batch)
+    # -- per-cycle protocol ---------------------------------------------
 
-    def tick(self) -> int:
-        """Advance one cycle; returns how many registers were recycled."""
-        recycled = self._stages.popleft()
-        self._stages.append([])
-        if recycled:
-            self.free_list.release_many(recycled)
-            self.in_flight -= len(recycled)
-        return len(recycled)
+    def begin_cycle(self, width: int) -> None:
+        """Stage up to ``width`` registers from the head of the free list."""
+        avail = self.avail
+        self.staged = width if avail > width else avail
 
-    def drain(self) -> None:
-        """Flush everything back to the free list (end-of-run cleanup)."""
-        for stage in self._stages:
-            self.free_list.release_many(stage)
-            stage.clear()
-        self.in_flight = 0
+    def take(self) -> int:
+        """Rename to the oldest staged register."""
+        if not self.staged:
+            raise RenameError("rename without available staged "
+                              "register (caller bug)")
+        self.staged -= 1
+        self.avail -= 1
+        return self._queue.popleft()
+
+    def recycle(self, register: int) -> None:
+        """Feed a commit-time free into the newest recycling batch."""
+        self._queue.append(register)
+        self.batches[-1] += 1
+
+    def end_cycle(self) -> None:
+        """Release the oldest batch; the unused staged group becomes the
+        newest one."""
+        batches = self.batches
+        unused = self.staged
+        self.avail += batches.popleft() - unused
+        batches.append(unused)
+        if unused:
+            self._queue.rotate(-unused)
+            self.staged = 0
+
+    # -- free-region view (deadlock moves, introspection) ---------------
+
+    @property
+    def available(self) -> int:
+        """Free registers, excluding the staged group and the pipeline."""
+        return self.avail - self.staged
+
+    @property
+    def in_flight(self) -> int:
+        """Registers still traversing the recycling pipeline."""
+        return len(self._queue) - self.avail
+
+    def pick(self) -> int:
+        """Remove and return the oldest free (unstaged) register."""
+        if self.avail == self.staged:
+            raise FreeListUnderflow("free list is empty")
+        register = self._queue[self.staged]
+        del self._queue[self.staged]
+        self.avail -= 1
+        return register
+
+    def release(self, register: int) -> None:
+        """Return one register to the tail of the free region."""
+        self._queue.insert(self.avail, register)
+        self.avail += 1
+
+    def __contains__(self, register: int) -> bool:
+        return register in islice(self._queue, self.staged, self.avail)

@@ -13,10 +13,13 @@ The renamer implements the three-task decomposition of section 2.2:
   lookups always see all older mappings.
 * Task (B), free-register assignment, follows either *implementation 1*
   (pick the full rename width from every subset's free list each cycle,
-  recycle the unused registers through a pipeline - see
-  :class:`repro.rename.freelist.RecyclingPipeline`) or *implementation 2*
+  recycle the unused registers through a pipeline) or *implementation 2*
   (pick the exact per-subset counts).  The choice is
-  ``MachineConfig.rename_impl``.
+  ``MachineConfig.rename_impl``.  Implementation 1 keeps each subset in
+  one rotating deque - staged group, free list and recycling pipeline
+  back to back (:class:`repro.rename.freelist.RotatingFreeList`) - so
+  its per-cycle pick / stage / recycle is integer bookkeeping plus one
+  rotation; implementation 2 uses plain FIFO free lists.
 * Task (C), map-table read/update, is :class:`repro.rename.maptable.MapTable`.
 
 Under write specialization the *cluster* executing an instruction fixes the
@@ -37,7 +40,7 @@ from typing import List, Optional, Tuple
 
 from repro.config import MachineConfig
 from repro.errors import RenameDeadlockError, RenameError
-from repro.rename.freelist import FreeList, RecyclingPipeline
+from repro.rename.freelist import FreeList, RotatingFreeList
 from repro.rename.maptable import MapTable
 
 INT_FILE = 0
@@ -48,7 +51,8 @@ class _RegisterClass:
     """Renaming state for one register class (one physical file)."""
 
     def __init__(self, num_logical: int, num_physical: int,
-                 num_subsets: int, global_base: int) -> None:
+                 num_subsets: int, global_base: int,
+                 recycle_depth: Optional[int] = None) -> None:
         if num_physical % num_subsets:
             raise RenameError("physical registers must split evenly")
         self.num_logical = num_logical
@@ -75,12 +79,15 @@ class _RegisterClass:
 
         self.map_table = MapTable(num_logical, initial)
         mapped = set(initial)
-        self.free_lists = [
-            FreeList(reg for reg in range(s * self.subset_size,
-                                          (s + 1) * self.subset_size)
-                     if reg not in mapped)
-            for s in range(num_subsets)
-        ]
+        free = [[reg for reg in range(s * self.subset_size,
+                                      (s + 1) * self.subset_size)
+                 if reg not in mapped]
+                for s in range(num_subsets)]
+        # Implementation 1 (a recycling depth given) rotates each subset's
+        # staged/free/recycling registers through one deque.
+        self.free_lists: List = (
+            [FreeList(regs) for regs in free] if recycle_depth is None
+            else [RotatingFreeList(regs, recycle_depth) for regs in free])
         self.outstanding_writes = [0] * num_subsets
 
     def subset_of(self, physical: int) -> int:
@@ -98,23 +105,22 @@ class Renamer:
         config.validate()
         self.config = config
         num_subsets = config.num_subsets
+        self.impl = config.rename_impl
+        depth = config.recycle_pipeline_depth if self.impl == 1 else None
         self.int_class = _RegisterClass(
             config.int_logical_registers, config.int_physical_registers,
-            num_subsets, global_base=0)
+            num_subsets, global_base=0, recycle_depth=depth)
         self.fp_class = _RegisterClass(
             config.fp_logical_registers, config.fp_physical_registers,
-            num_subsets, global_base=config.int_physical_registers)
+            num_subsets, global_base=config.int_physical_registers,
+            recycle_depth=depth)
         self._classes = (self.int_class, self.fp_class)
-        self.impl = config.rename_impl
-
-        self._recyclers: List[List[RecyclingPipeline]] = []
-        self._staging: List[List[List[int]]] = []
-        if self.impl == 1:
-            for cls in self._classes:
-                self._recyclers.append([
-                    RecyclingPipeline(flist, config.recycle_pipeline_depth)
-                    for flist in cls.free_lists])
-                self._staging.append([[] for _ in range(num_subsets)])
+        self._width = config.front_width
+        # Every implementation-1 subset of both files, for the per-cycle
+        # pick/recycle work (empty under implementation 2).
+        self._rotating: List[RotatingFreeList] = (
+            [flist for cls in self._classes for flist in cls.free_lists]
+            if self.impl == 1 else [])
 
         self.renamed = 0
         self.deadlock_moves = 0
@@ -153,38 +159,24 @@ class Renamer:
         these staged groups.  Unused staged registers are recycled at
         :meth:`end_cycle`.
         """
-        if self.impl != 1:
-            return
-        width = self.config.front_width
-        for cls, staging in zip(self._classes, self._staging):
-            for subset, flist in enumerate(cls.free_lists):
-                stage = staging[subset]
-                want = width - len(stage)
-                take = min(want, flist.available)
-                if take > 0:
-                    stage.extend(flist.pick_many(take))
+        width = self._width
+        for flist in self._rotating:
+            flist.begin_cycle(width)
 
     def end_cycle(self) -> None:
-        """End-of-cycle work: recycle unused staged registers, advance the
-        recycling pipelines."""
-        if self.impl != 1:
-            return
-        for staging, recyclers in zip(self._staging, self._recyclers):
-            for subset, recycler in enumerate(recyclers):
-                recycler.tick()
-                stage = staging[subset]
-                if stage:
-                    recycler.insert(stage)
-                    stage.clear()
+        """End-of-cycle work: advance the recycling pipelines and recycle
+        the unused staged registers."""
+        for flist in self._rotating:
+            flist.end_cycle()
 
     # -- availability ---------------------------------------------------------
 
     def _accessible(self, cls_index: int, subset: int) -> int:
         """Registers of a subset usable as rename targets *this cycle*."""
-        cls = self._classes[cls_index]
+        flist = self._classes[cls_index].free_lists[subset]
         if self.impl == 1:
-            return len(self._staging[cls_index][subset])
-        return cls.free_lists[subset].available
+            return flist.staged
+        return flist.available
 
     def can_rename(self, dest_flat: Optional[int], cluster: int) -> bool:
         """Whether a destination in ``dest_flat`` can be renamed now.
@@ -223,14 +215,8 @@ class Renamer:
         if inst.dest is not None:
             cls, logical, file_id = self._route(inst.dest)
             subset = cluster if cls.num_subsets > 1 else 0
-            if self.impl == 1:
-                stage = self._staging[file_id][subset]
-                if not stage:
-                    raise RenameError("rename without available staged "
-                                      "register (caller bug)")
-                local = stage.pop(0)
-            else:
-                local = cls.free_lists[subset].pick()
+            flist = cls.free_lists[subset]
+            local = flist.take() if self.impl == 1 else flist.pick()
             old_local = cls.map_table.install(logical, local)
             cls.outstanding_writes[subset] += 1
             pdest = cls.global_base + local
@@ -245,7 +231,7 @@ class Renamer:
         local = pold_global - cls.global_base
         subset = cls.subset_of(local)
         if self.impl == 1:
-            self._recyclers[cls_index][subset].insert((local,))
+            cls.free_lists[subset].recycle(local)
         else:
             cls.free_lists[subset].release(local)
 
@@ -262,12 +248,11 @@ class Renamer:
         """All physical registers of the subset hold architected values and
         nothing in flight will ever free one."""
         cls = self._classes[file_id]
-        if cls.free_lists[subset].available:
+        flist = cls.free_lists[subset]
+        if flist.available:
             return False
-        if self.impl == 1:
-            if (self._staging[file_id][subset]
-                    or self._recyclers[file_id][subset].in_flight):
-                return False
+        if self.impl == 1 and (flist.staged or flist.in_flight):
+            return False
         if cls.outstanding_writes[subset]:
             return False
         low, high = cls.subset_bounds(subset)
@@ -348,11 +333,8 @@ class Renamer:
         cls = self._classes[file_id]
         if self.impl != 1:
             return [0] * cls.num_subsets
-        return [
-            len(self._staging[file_id][subset])
-            + self._recyclers[file_id][subset].in_flight
-            for subset in range(cls.num_subsets)
-        ]
+        return [flist.staged + flist.in_flight
+                for flist in cls.free_lists]
 
     @property
     def total_global_registers(self) -> int:

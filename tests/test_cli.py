@@ -126,11 +126,21 @@ class TestCommands:
 
     def test_profile_quick_writes_record(self, capsys, tmp_path):
         import json
+        from pathlib import Path
 
+        # The committed trajectory must not pick up test-time records:
+        # both outputs go to the temp dir.
+        committed = Path(__file__).resolve().parents[1] \
+            / "BENCH_history.jsonl"
+        before = committed.read_bytes() if committed.exists() else None
         out = tmp_path / "BENCH_core.json"
+        history = tmp_path / "BENCH_history.jsonl"
         code = main(["profile", "--quick", "--benchmark", "gzip",
-                     "--out", str(out)])
+                     "--out", str(out), "--history", str(history)])
         assert code == 0
+        after = committed.read_bytes() if committed.exists() else None
+        assert after == before
+        assert len(history.read_text(encoding="utf-8").splitlines()) == 1
         record = json.loads(out.read_text(encoding="utf-8"))
         assert record["identical"] is True
         assert len(record["cells"]) == 6

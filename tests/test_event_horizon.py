@@ -28,7 +28,10 @@ def _fingerprint(stats):
 
 
 def _run(config, trace, fast_path, sanitize=False):
-    processor = Processor(config, iter(trace), fast_path=fast_path,
+    # Pin the gear: the default would take the specialized stepper
+    # wherever it is admitted, and this file tests the horizon gear.
+    processor = Processor(config, iter(trace),
+                          gear="horizon" if fast_path else "reference",
                           sanitize=True if sanitize else None)
     stats = processor.run(measure=MEASURE, warmup=WARMUP)
     return processor, stats
@@ -75,8 +78,9 @@ class TestGearSelection:
         # rename_impl=1 rotates free-list state every idle cycle, so
         # skipping cycles would not be invariant; the gate is automatic.
         config = wsrs_rc(512, rename_impl=1)
-        processor = Processor(config, iter(_trace("gzip")), fast_path=True)
+        processor = Processor(config, iter(_trace("gzip")), gear="horizon")
         assert not processor.fast_path
+        assert processor.gear == "reference"
         stats = processor.run(measure=MEASURE, warmup=WARMUP)
         assert processor.horizon_jumps == 0
         assert stats.committed == MEASURE
@@ -84,9 +88,9 @@ class TestGearSelection:
     def test_simulate_helper_exposes_the_knob(self):
         trace = _trace("gzip")
         ref = simulate(figure4_configs()[0], iter(trace), measure=MEASURE,
-                       warmup=WARMUP, fast_path=False)
+                       warmup=WARMUP, gear="reference")
         fast = simulate(figure4_configs()[0], iter(trace), measure=MEASURE,
-                        warmup=WARMUP, fast_path=True)
+                        warmup=WARMUP, gear="horizon")
         assert _fingerprint(ref) == _fingerprint(fast)
 
 
@@ -96,7 +100,7 @@ class TestDeadlockProof:
         # reference stepper would spin _PROGRESS_LIMIT cycles before
         # giving up, the fast path proves the deadlock on the spot.
         processor = Processor(figure4_configs()[0], iter([]),
-                              fast_path=True)
+                              gear="horizon")
         processor._waiting_branch = object()  # never-resolving branch
         with pytest.raises(DeadlockedPipeline, match="event horizon"):
             processor._try_jump()
@@ -108,12 +112,16 @@ class TestRunSpecPlumbing:
 
         config = figure4_configs()[0]
         results = {}
-        for fast in (False, True):
-            spec = RunSpec(config=config, benchmark="vpr",
-                           measure=MEASURE, warmup=WARMUP,
-                           fast_path=fast)
-            results[fast] = execute(spec).stats
-        assert _fingerprint(results[False]) == _fingerprint(results[True])
+        # fast_path=False alone must still force the reference stepper.
+        for gear, knobs in (("reference", {"fast_path": False}),
+                            ("horizon", {"gear": "horizon"})):
+            result = execute(RunSpec(config=config, benchmark="vpr",
+                                     measure=MEASURE, warmup=WARMUP,
+                                     **knobs))
+            assert result.gear == gear
+            results[gear] = result.stats
+        assert _fingerprint(results["reference"]) \
+            == _fingerprint(results["horizon"])
 
     def test_sweep_cells_default_to_fast_unparanoid(self):
         from repro.experiments.runner import RunSpec

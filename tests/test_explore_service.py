@@ -1,6 +1,7 @@
 """Service round-trip tests for the explore job kind."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -113,3 +114,27 @@ class TestRoundTrip:
         assert json.dumps(via_service, sort_keys=True) == \
             json.dumps(direct, sort_keys=True)
         assert via_service["frontier"]
+
+    def test_gear_provenance_stays_out_of_the_payloads(self):
+        """RunResult's gear/blockers/despecializations must not reach
+        the stored payloads, whose digests the benchmark goldens pin:
+        explore and matrix payloads are unchanged when the provenance
+        of every result is rewritten."""
+        for request in (parse_request(explore_payload()),
+                        parse_request({"kind": "matrix",
+                                       "benchmarks": ["gzip"],
+                                       "configs": ["RR 256", "WSRR 512"],
+                                       "measure": 300})):
+            results = [execute(spec) for spec in cell_specs(request)]
+            assert {result.gear for result in results} & \
+                {"specialized", "reference"}
+            rewritten = [replace(result, gear="horizon",
+                                 blockers=["rewritten"],
+                                 despecializations=7)
+                         for result in results]
+            text = json.dumps(job_payload(request, results),
+                              sort_keys=True)
+            assert text == json.dumps(job_payload(request, rewritten),
+                                      sort_keys=True)
+            for name in ("gear", "blockers", "despecializations"):
+                assert f'"{name}"' not in text

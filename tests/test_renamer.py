@@ -161,10 +161,8 @@ class TestRenamingImplementation1:
 
         def conserved_total():
             free = sum(renamer.free_registers(INT_FILE))
-            staged = sum(len(s) for s in renamer._staging[INT_FILE])
-            recycling = sum(r.in_flight
-                            for r in renamer._recyclers[INT_FILE])
-            return free + staged + recycling
+            staged_or_recycling = sum(renamer.inaccessible_free(INT_FILE))
+            return free + staged_or_recycling
 
         # Conservation: apart from the one register now mapped, every
         # integer register is in a free list, staged, or recycling -
@@ -175,7 +173,8 @@ class TestRenamingImplementation1:
             renamer.end_cycle()
         # In steady state the recycler holds exactly one cycle's worth of
         # staged-and-unused registers per pipeline stage.
-        recycling = sum(r.in_flight for r in renamer._recyclers[INT_FILE])
+        recycling = sum(flist.in_flight
+                        for flist in renamer.int_class.free_lists)
         assert recycling == 4 * config.front_width \
             * config.recycle_pipeline_depth
 

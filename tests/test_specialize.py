@@ -14,8 +14,13 @@ Three angles:
   without double-counting a cycle.
 * **Code generation** - the generated source is deterministic, bakes
   the configuration constants as literals, and is cached per source.
+* **Default gear** - a default :class:`RunSpec` runs every admissible
+  cell on the specialized gear, records the gear's provenance on the
+  result, and leaves no processor alive in a reference cycle.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -24,6 +29,8 @@ from hypothesis import given, settings, strategies as st
 from repro.config import baseline_rr_256, figure4_configs, ws_rr, \
     wsrs_rc, wsrs_rm
 from repro.core.processor import Processor, simulate
+from repro.experiments import runner
+from repro.experiments.runner import RunSpec, execute
 from repro.core.specialize import (
     GEARS,
     _CODE_CACHE,
@@ -99,6 +106,28 @@ class TestPropertyEquivalence:
         spec_causes = spec_proc.obs.snapshot()["causes"]
         assert ref_causes == spec_causes
         assert sum(spec_causes.values()) == spec.cycles
+
+
+class TestMuldivArbitration:
+    """Tracked multiply/divide units on both fast gears: the generated
+    execute stage charges the issuing cluster's unit, and a dead
+    window's horizon includes every unit release.  The behavioural
+    tests in test_shared_muldiv.py run on the default (specialized)
+    gear, so the horizon gear is pinned to the reference here."""
+
+    @pytest.mark.parametrize("pipelined,shared",
+                             [(False, False), (False, True), (True, True)])
+    def test_fast_gears_match_reference(self, pipelined, shared):
+        config = baseline_rr_256(pipelined_muldiv=pipelined,
+                                 shared_muldiv=shared)
+        for benchmark in ("gcc", "swim"):
+            trace = list(spec_trace(benchmark, SLICE, seed=2))
+            _, ref = _run(config, trace, "reference")
+            for gear in ("horizon", "specialized"):
+                proc, stats = _run(config, trace, gear)
+                assert proc.gear == gear
+                assert _fingerprint(ref) == _fingerprint(stats), \
+                    (benchmark, gear)
 
 
 class TestEntryGuards:
@@ -231,3 +260,58 @@ class TestCodeGeneration:
         processor = Processor(figure4_configs()[0], iter([]),
                               sanitize=True)
         assert build_specialized_runner(processor) is None
+
+
+class TestDefaultGear:
+    """``gear=None`` engages the fastest gear each cell admits."""
+
+    @staticmethod
+    def _spec(config, **kwargs):
+        return RunSpec(config=config, benchmark="gcc", measure=MEASURE,
+                       warmup=WARMUP, **kwargs)
+
+    def test_section5_configs_run_specialized_and_match_reference(self):
+        for config in figure4_configs():
+            default = execute(self._spec(config))
+            reference = execute(self._spec(config, gear="reference"))
+            assert default.gear == "specialized", config.name
+            assert default.blockers == []
+            assert default.despecializations == 0
+            assert reference.gear == "reference"
+            assert _fingerprint(default.stats) \
+                == _fingerprint(reference.stats), config.name
+
+    def test_impl1_wsrs_cell_falls_back_to_reference(self):
+        result = execute(self._spec(wsrs_rc(512, rename_impl=1)))
+        assert result.gear == "reference"
+        assert any("rename_impl=1" in blocker
+                   for blocker in result.blockers)
+
+    def test_fast_path_false_still_forces_reference(self):
+        processor = Processor(figure4_configs()[0], iter([]),
+                              fast_path=False)
+        assert processor.gear == "reference"
+
+
+class TestNoReferenceCycle:
+    def test_processor_dies_when_execute_returns(self, monkeypatch):
+        refs = []
+
+        class Recorded(Processor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "Processor", Recorded)
+        spec = RunSpec(config=figure4_configs()[0], benchmark="gzip",
+                       measure=MEASURE, warmup=WARMUP)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = execute(spec)
+            assert result.gear == "specialized"
+            assert len(refs) == 1
+            assert refs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
