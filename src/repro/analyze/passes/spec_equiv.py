@@ -20,9 +20,11 @@ Rules
     commit / issue / front widths, per-cluster FU counts, the cluster
     count, the misprediction penalty, the store-forward latency, the
     latency-table size, the inlined L1 probe geometry (offset shift,
-    set mask and tag shift of the address split), and that the
-    forward-delay table is loaded from the processor's precomputed
-    ``FWD`` global rather than re-derived.
+    set mask and tag shift of the address split), the
+    implementation-1 staging width (every ``begin_cycle`` and ``idle``
+    call stages ``front_width``; implementation 2 stages nothing), and
+    that the forward-delay table is loaded from the processor's
+    precomputed ``FWD`` global rather than re-derived.
 ``SPEC-EQUIV-GUARD``
     The despecialization guards are present: the entry guard
     (sanitizer/observer/move-debt -> ``return False``) is the first
@@ -185,12 +187,15 @@ def sampled_configs(count: int = 50,
     """A deterministic sample of the configuration space.
 
     Varies the factory family, register totals, widths, ROB size,
-    penalty, divider arrangement, fastforward policy, deadlock policy
-    and the cluster FU mix; invalid draws are discarded through
-    :meth:`MachineConfig.validate`, so every returned config is one the
-    simulator would accept.
+    penalty, divider arrangement, fastforward policy, deadlock policy,
+    the cluster FU mix and the renaming implementation; invalid draws
+    are discarded through :meth:`MachineConfig.validate`, so every
+    returned config is one the simulator would accept.  The renaming
+    implementation comes from a second generator, so adding it left
+    every other draw of the sample unchanged.
     """
     rng = random.Random(seed)
+    impl_rng = random.Random(seed + 1)
     configs: List[MachineConfig] = []
     attempts = 0
     while len(configs) < count and attempts < count * 40:
@@ -231,6 +236,9 @@ def sampled_configs(count: int = 50,
             config.validate()
         except ConfigError:
             continue
+        if impl_rng.random() < 0.4:
+            config = config.with_changes(name=f"{config.name} impl1",
+                                         rename_impl=1)
         configs.append(config)
     return configs
 
@@ -384,6 +392,7 @@ class _SiteCollector(ast.NodeVisitor):
         self.for_tuples: List[Tuple[ast.AST, Tuple[int, ...]]] = []
         self.stall_mults: List[Tuple[ast.AST, int]] = []
         self.rshifts: List[Tuple[str, ast.AST, int]] = []
+        self.staging_widths: List[Tuple[ast.AST, int]] = []
         self.bitands: List[Tuple[str, ast.AST, int]] = []
         self.loaded_names: set = set()
 
@@ -459,6 +468,18 @@ class _SiteCollector(ast.NodeVisitor):
             elif (right is not None and isinstance(node.left, ast.Name)
                     and node.left.id == "_rc"):
                 self.rc_adds.append((node, right))
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        # Implementation-1 staging: ``_f(W)`` on each subset's
+        # begin_cycle and ``_f.idle(W, skipped)`` over a jump.
+        func = node.func
+        if node.args and (
+                (isinstance(func, ast.Name) and func.id == "_f")
+                or (isinstance(func, ast.Attribute) and func.attr == "idle")):
+            value = self._int_const(node.args[0])
+            if value is not None:
+                self.staging_widths.append((node, value))
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
@@ -566,6 +587,19 @@ def _check_literals(func: ast.FunctionDef,
         if value != config.front_width:
             bad(node, "stall-accounting front width", value,
                 config.front_width)
+
+    # Implementation-1 staging width: every cycle (and every idle cycle
+    # of a jump) stages front_width registers per subset; the plain
+    # FIFO free lists of implementation 2 stage nothing.
+    if config.rename_impl == 1:
+        if require(sites.staging_widths, "implementation-1 staging width"):
+            for node, value in sites.staging_widths:
+                if value != config.front_width:
+                    bad(node, "implementation-1 staging width", value,
+                        config.front_width)
+    elif sites.staging_widths:
+        bad(sites.staging_widths[0][0], "implementation-1 staging",
+            "present", "absent under implementation 2")
 
     # Inlined L1 probe geometry: the address split must match the
     # configured cache (offset shift on ``_addr``, set mask and tag

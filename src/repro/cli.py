@@ -533,17 +533,30 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    from collections import Counter
+
     done = [0]
+    gears: Counter = Counter()
+    blockers: Counter = Counter()
 
     def progress(result) -> None:
+        # Gear provenance goes to the console only: the payload (and so
+        # its digest) stays gear-free.
         done[0] += 1
+        gears[result.gear] += 1
+        blockers.update(result.blockers)
         print(f"  [{done[0]}] {result.spec.config.name:<28s}"
-              f"{result.spec.benchmark:<8s}IPC {result.stats.ipc:.3f}")
+              f"{result.spec.benchmark:<8s}IPC {result.stats.ipc:.3f}"
+              f"  {result.gear}")
 
     payload = explore(spec, budget=args.budget, prefilter=args.prefilter,
                       rank=args.rank, measure=args.measure,
                       warmup=args.warmup, seed=args.seed,
                       workers=args.workers, progress=progress)
+    print("gears: " + ", ".join(f"{gear} {n}"
+                                for gear, n in sorted(gears.items()))
+          + "".join(f"; blocked {n}x: {reason}"
+                    for reason, n in sorted(blockers.items())))
     counts = payload["counts"]
     print(f"lattice {counts['cells']} cells: {counts['valid']} valid "
           f"({counts['incompatible']} incompatible, {counts['invalid']} "

@@ -42,8 +42,8 @@ the event-horizon jump inlined - and falls back to the generic gears
 mid-run when a guard condition (a deadlock-breaking move) leaves the
 specialized envelope.  By default (``gear=None``) a processor runs on
 the fastest gear it admits: specialized unless an entry guard blocks
-it, else horizon unless renaming implementation 1 rules that out, else
-reference.  Every statistic is bit-identical across all three gears;
+it, else horizon (``fast_path=False`` alone forces the reference
+stepper).  Every statistic is bit-identical across all three gears;
 see ``docs/architecture.md`` ("Performance") for the argument.
 
 Typical use::
@@ -128,11 +128,7 @@ class Processor:
                     f"unknown gear {gear!r}; expected one of {GEARS}")
             fast_path = gear != "reference"
         self.requested_gear = gear
-        # Implementation-1 renaming stages/recycles registers every cycle
-        # even when nothing renames, so its free-list state is not
-        # invariant across a dead-cycle window: the event horizon only
-        # engages for the cycle-invariant implementation 2.
-        self.fast_path = fast_path and config.rename_impl != 1
+        self.fast_path = fast_path
         #: Event-horizon instrumentation (diagnostics only - deliberately
         #: not part of :class:`SimulationStats`, whose counters stay
         #: bit-identical between the two cores).
@@ -231,8 +227,8 @@ class Processor:
         # Third gear: the config-specialized stepper (repro.core.
         # specialize), requested explicitly or by default.  Built last so
         # its entry guards see the fully assembled machine; blocked
-        # processors (sanitized, observed, rename_impl=1, paranoid WSRS
-        # checking) silently keep the generic gears - the ``gear``
+        # processors (sanitized, observed, paranoid WSRS checking)
+        # silently keep the generic gears - the ``gear``
         # attribute reports what actually engaged.  The stored stepper is
         # the generated function itself, called with this processor as
         # its argument: a closure bound to ``self`` would make every
@@ -342,7 +338,9 @@ class Processor:
         cycle and the multiply/divide unit releases.  Jumping there in
         one step and bulk-charging ``skipped`` cycles of the same stall
         counter reproduces the reference stepper's statistics bit for
-        bit.
+        bit.  The one exception to the freeze, implementation-1
+        staging and recycling, advances in closed form
+        (:meth:`~repro.rename.renamer.Renamer.idle`).
 
         Returns True when a jump happened (the caller skips ``step()``).
         Cycles whose rename outcome depends on mutable machinery - an
@@ -468,6 +466,10 @@ class Processor:
             self.sanitizer.on_cycle_skip(cycle, horizon)
         if self.obs is not None:
             self.obs.on_cycle_skip(cycle, horizon, stall)
+        # Implementation 1 still stages and recycles on every skipped
+        # cycle; advanced after the hooks, which read the window's
+        # free-list series from the pre-jump state.
+        self.renamer.idle(skipped)
         stats.cycles += skipped
         self.cycle = horizon
         self.horizon_jumps += 1

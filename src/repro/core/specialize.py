@@ -46,17 +46,21 @@ code was generated for.  Conditions outside it fall back to the generic
 gears without statistics divergence:
 
 * **entry guards** (:func:`specialization_blockers`): an attached
-  sanitizer or observer/tracer (their hooks must fire every cycle),
-  renaming implementation 1 (its free-list state mutates even on idle
-  cycles), and paranoid per-uop read-legality checking.  A blocked
-  processor simply keeps the event-horizon gear (the reference stepper
-  under implementation 1, which the horizon refuses for the same
-  reason).
+  sanitizer or observer/tracer (their hooks must fire every cycle) and
+  paranoid per-uop read-legality checking.  A blocked processor simply
+  keeps the event-horizon gear.
 * **mid-run guard**: a deadlock-breaking move.  The generated code
   executes the move cycle with exactly the reference semantics (charge,
   debt carry-over, ``stats.deadlock_moves``), finishes the cycle, then
   returns control permanently to the generic loop - no cycle is lost or
   double-counted.
+
+Both renaming implementations are inside the envelope.  Implementation
+1 drives the renamer's :class:`~repro.rename.freelist.RotatingFreeList`
+objects in place: ``begin_cycle``/``end_cycle`` around the rename stage
+(in the reference order commit, issue, begin, rename, end), the staged
+group as the availability test, ``take()``/``recycle()`` for rename
+and commit, and the closed-form ``idle()`` over every jump.
 
 The acceptance bar is the same as the event horizon's: every
 ``SimulationStats`` counter and per-cluster histogram bit-identical to
@@ -120,8 +124,6 @@ def specialization_blockers(processor) -> List[str]:
         blockers.append("sanitizer attached (per-cycle hooks)")
     if processor.obs is not None:
         blockers.append("observer/tracer attached (per-cycle hooks)")
-    if processor.config.rename_impl == 1:
-        blockers.append("rename_impl=1 recycles free-list state each cycle")
     if processor.check_invariants \
             and processor.config.uses_read_specialization:
         blockers.append("paranoid per-uop read-legality checks")
@@ -155,6 +157,7 @@ def generate_stepper_source(config: MachineConfig) -> str:
     muldiv_tracked = (not config.pipelined_muldiv) or config.shared_muldiv
     unit_ci = "_ci // 2" if config.shared_muldiv else "_ci"
     sub = _subset_exprs(config)
+    impl1 = config.rename_impl == 1
     cluster_range = tuple(range(nc))
     lat_size = max(int(op) for op in OpClass) + 1
     no_event = UNKNOWN_CYCLE
@@ -374,6 +377,37 @@ def generate_stepper_source(config: MachineConfig) -> str:
                         pending_decision = allocate(
                             inst, subset_of, inflights)"""
 
+    # Free lists: implementation 2 pops and appends the plain FIFO
+    # deques; implementation 1 drives the RotatingFreeList objects in
+    # place - staged-group test, take(), commit-time recycle(), the
+    # per-cycle begin/end around rename, and idle() over a jump.
+    if impl1:
+        localize_free = """\
+    int_free = renamer.int_class.free_lists
+    fp_free = renamer.fp_class.free_lists
+    rotating = renamer._rotating
+    rot_begin = [_f.begin_cycle for _f in rotating]
+    rot_end = [_f.end_cycle for _f in rotating]"""
+        free_op, take_op, staged = "recycle", "take", ".staged"
+        begin_stage = f"""\
+                for _f in rot_begin:
+                    _f({config.front_width})
+"""
+        end_stage = """\
+                for _f in rot_end:
+                    _f()
+"""
+        idle_stage = f"""\
+                for _f in rotating:
+                    _f.idle({config.front_width}, skipped)
+"""
+    else:
+        localize_free = """\
+    int_free = [f._queue for f in renamer.int_class.free_lists]
+    fp_free = [f._queue for f in renamer.fp_class.free_lists]"""
+        free_op, take_op, staged = "append", "popleft", ""
+        begin_stage = end_stage = idle_stage = ""
+
     policy = config.deadlock_policy
     # Only the "moves" policy can trip the mid-run guard, so only that
     # variant pays for the per-cycle check.  Tripping ends the cycle
@@ -395,6 +429,21 @@ def generate_stepper_source(config: MachineConfig) -> str:
                             renamer._maybe_handle_deadlock(
                                 0 if dest < {config.int_logical_registers}
                                 else 1, {sub['SUB']})
+                            stall_noreg += _budget
+                            break"""
+        deadlock_stats_sync = ""
+    elif impl1:
+        # Implementation 1 renames only to this cycle's staged group,
+        # which a deadlock move never refills, so the cycle always
+        # stalls; moves still trip the guard, because the reference
+        # publishes stats.deadlock_moves at the next rename.
+        deadlock_block = f"""\
+                            _mb = renamer.deadlock_moves
+                            renamer._maybe_handle_deadlock(
+                                0 if dest < {config.int_logical_registers}
+                                else 1, {sub['SUB']})
+                            if renamer.deadlock_moves != _mb:
+                                tripped = True
                             stall_noreg += _budget
                             break"""
         deadlock_stats_sync = ""
@@ -482,8 +531,7 @@ def _specialized_run(proc, committed_target):
     waiters_get = reg_waiters.get
     int_map = renamer.int_class.map_table._map
     fp_map = renamer.fp_class.map_table._map
-    int_free = [f._queue for f in renamer.int_class.free_lists]
-    fp_free = [f._queue for f in renamer.fp_class.free_lists]
+{localize_free}
     int_out = renamer.int_class.outstanding_writes
     fp_out = renamer.fp_class.outstanding_writes
     store_words = memorder._store_words
@@ -637,11 +685,11 @@ def _specialized_run(proc, committed_target):
                         pold = uop.pold
                         if pold is not None:
                             if pold < {config.int_physical_registers}:
-                                int_free[{sub['FREE_INT']}].append(pold)
+                                int_free[{sub['FREE_INT']}].{free_op}(pold)
                             else:
                                 _local = (pold
                                           - {config.int_physical_registers})
-                                fp_free[{sub['FREE_FP']}].append(_local)
+                                fp_free[{sub['FREE_FP']}].{free_op}(_local)
                         if uop.inst.op == OP_STORE:
                             _word = store_by_seq.pop(uop.seq, None)
                             if _word is not None \\
@@ -792,7 +840,7 @@ def _specialized_run(proc, committed_target):
                                 waiting_branch = None
 
                 # -- rename / dispatch (inlined) -----------------------
-                _budget = {config.front_width}
+{begin_stage}                _budget = {config.front_width}
                 if waiting_branch is not None \\
                         or cycle < rename_blocked_until:
                     # Loop-invariant: a mispredicted rename breaks out
@@ -831,7 +879,7 @@ def _specialized_run(proc, committed_target):
                             _q = int_free[{sub['SUB']}]
                         else:
                             _q = fp_free[{sub['SUB']}]
-                        if not _q:
+                        if not _q{staged}:
                             reg_stalls += 1
 {deadlock_block}
                     swapped = pending_decision[1]
@@ -860,13 +908,13 @@ def _specialized_run(proc, committed_target):
                         pdest = None
                         pold = None
                     elif dest < {config.int_logical_registers}:
-                        _local = _q.popleft()
+                        _local = _q.{take_op}()
                         pold = int_map[dest]
                         int_map[dest] = _local
                         int_out[{sub['SUB']}] += 1
                         pdest = _local
                     else:
-                        _local = _q.popleft()
+                        _local = _q.{take_op}()
                         _dl = dest - {config.int_logical_registers}
                         pold = {config.int_physical_registers} + fp_map[_dl]
                         fp_map[_dl] = _local
@@ -973,7 +1021,7 @@ def _specialized_run(proc, committed_target):
                     if misp:
                         break
 
-                cycles += 1
+{end_stage}                cycles += 1
                 cycle += 1
 {tripped_check}
             else:
@@ -1007,7 +1055,7 @@ def _specialized_run(proc, committed_target):
                 cycle = horizon
                 jumps += 1
                 jump_skipped += skipped
-
+{idle_stage}
             if committed != last_committed:
                 last_committed = committed
                 idle_events = 0

@@ -16,7 +16,10 @@ replaces cycles in which every quantity the observer samples - ROB and
 scheduler occupancies, free-list depths, outstanding stores, per-cycle
 bandwidth deltas (all zero) - is provably frozen, so
 :meth:`Observer.on_cycle_skip` records the frozen values once with
-``weight=skipped`` instead of ``skipped`` times with weight 1.
+``weight=skipped`` instead of ``skipped`` times with weight 1.  The one
+exception is the free-list depth under renaming implementation 1, which
+keeps staging and recycling through the window; the renamer's
+closed-form idle series supplies its per-cycle values instead.
 
 The snapshot layout (all plain picklable data)::
 
@@ -109,9 +112,11 @@ class Observer:
         """Account a bulk-charged event-horizon window of dead cycles.
 
         Called after the fast path has bulk-charged its stall counter but
-        before ``stats.cycles`` advances; every sampled value below is
-        frozen across the window, so one weighted record reproduces the
-        reference stepper's per-cycle series exactly.
+        before ``stats.cycles`` and the renamer advance; every sampled
+        value below is frozen across the window (implementation-1 free
+        lists excepted, whose series the renamer computes), so weighted
+        records reproduce the reference stepper's per-cycle series
+        exactly.
         """
         skipped = horizon - cycle
         processor = self.processor
@@ -119,7 +124,7 @@ class Observer:
         self.accountant.charge(cause, skipped)
         zero = {name: 0 for name in TRACKED_COUNTERS}
         self._sample_bandwidth(zero, 0, skipped)
-        self._sample_occupancy(skipped)
+        self._sample_occupancy(skipped, window=True)
         self._prev = self._snap()
         tracer = self.tracer
         if tracer is not None and tracer.active(cycle):
@@ -142,7 +147,8 @@ class Observer:
         sample("issue_width", deltas["issued"], weight)
         sample("bypass_edges", bypass, weight)
 
-    def _sample_occupancy(self, weight: int) -> None:
+    def _sample_occupancy(self, weight: int, window: bool = False) -> None:
+        """Sample every occupancy, for one cycle or a skipped window."""
         processor = self.processor
         sample = self.registry.sample
         sample("rob_occupancy", processor.rob_occupancy, weight)
@@ -157,8 +163,12 @@ class Observer:
                    scheduler.ready_count, weight)
         renamer = processor.renamer
         for file_id, prefix in _FILE_NAMES:
-            for subset, depth in enumerate(renamer.free_registers(file_id)):
-                sample(f"{prefix}_free_subset{subset}", depth, weight)
+            series = (renamer.idle_free_counts(file_id, weight) if window
+                      else [{depth: weight}
+                            for depth in renamer.free_registers(file_id)])
+            for subset, counts in enumerate(series):
+                for depth, cycles in counts.items():
+                    sample(f"{prefix}_free_subset{subset}", depth, cycles)
 
     # -- output ------------------------------------------------------------
 

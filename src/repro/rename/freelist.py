@@ -41,13 +41,27 @@ the cycle releases the oldest batch (``avail`` grows over it) and
 rotates the unused staged registers to the tail as the newest batch.
 No register ever changes its relative order, so the free-list order is
 exactly that of an explicit pick / stage / shift-register pipeline.
+
+Idle windows
+------------
+A cycle in which nothing renames and nothing commits only stages and
+recycles: with ``s = min(width, avail)`` it sets ``avail += batches[0]
+- s``, shifts the batches and appends ``s`` as the newest one, and
+rotates the whole deque by ``s``.  Within at most ``2 * depth`` such
+cycles the recurrence settles into one of two regimes - a *fixed point*
+(``avail >= width`` and every batch equal to ``width``: each cycle
+rotates by ``width``) or a *pure shift* (``avail <= width`` and every
+batch at most ``width``: the state has period ``depth + 1`` and rotates
+by the subset's total per period) - so :meth:`RotatingFreeList.idle`
+advances any number of idle cycles with O(depth) integer steps and one
+rotation.  The event-horizon gears use it to skip dead windows.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Deque, Iterable
+from typing import Deque, Dict, Iterable, Optional, Tuple
 
 from repro.errors import FreeListUnderflow, RenameError
 
@@ -133,6 +147,24 @@ class RotatingFreeList:
             self._queue.rotate(-unused)
             self.staged = 0
 
+    def idle(self, width: int, cycles: int) -> None:
+        """Advance ``cycles`` cycles in which nothing renames or commits.
+
+        Equivalent to ``cycles`` repeats of ``begin_cycle(width);
+        end_cycle()`` (see "Idle windows" in the module docstring).
+        Called between cycles, when nothing is staged.
+        """
+        self.avail, rotation = _advance_idle(self.avail, self.batches,
+                                             width, cycles)
+        self._queue.rotate(-rotation)
+
+    def idle_free_counts(self, width: int, cycles: int) -> Dict[int, int]:
+        """How many of the next ``cycles`` idle cycles end with each
+        :attr:`available` count (read-only: the state is not advanced)."""
+        counts: Dict[int, int] = {}
+        _advance_idle(self.avail, deque(self.batches), width, cycles, counts)
+        return counts
+
     # -- free-region view (deadlock moves, introspection) ---------------
 
     @property
@@ -161,3 +193,42 @@ class RotatingFreeList:
 
     def __contains__(self, register: int) -> bool:
         return register in islice(self._queue, self.staged, self.avail)
+
+
+def _advance_idle(avail: int, batches: Deque[int], width: int, cycles: int,
+                  counts: Optional[Dict[int, int]] = None
+                  ) -> Tuple[int, int]:
+    """Run the idle-cycle recurrence for ``cycles`` cycles.
+
+    Shifts ``batches`` in place and returns ``(avail, rotation)``: the
+    new staged-plus-free count and the total number of positions the
+    deque rotates left.  When ``counts`` is given, it tallies the
+    ``avail`` value each cycle ends with.
+    """
+    depth = len(batches)
+    rotation = 0
+    while cycles:
+        if avail >= width and batches.count(width) == depth:
+            # Fixed point: every further cycle stages and recycles width.
+            rotation += width * cycles
+            if counts is not None:
+                counts[avail] = counts.get(avail, 0) + cycles
+            break
+        if avail <= width and max(batches) <= width:
+            # Pure shift: (avail, *batches) rotates by one slot a cycle.
+            laps, cycles = divmod(cycles, depth + 1)
+            if laps:
+                rotation += laps * (avail + sum(batches))
+                if counts is not None:
+                    for value in (avail, *batches):
+                        counts[value] = counts.get(value, 0) + laps
+        if not cycles:
+            break
+        staged = width if avail > width else avail
+        avail += batches.popleft() - staged
+        batches.append(staged)
+        rotation += staged
+        cycles -= 1
+        if counts is not None:
+            counts[avail] = counts.get(avail, 0) + 1
+    return avail, rotation

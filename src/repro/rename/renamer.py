@@ -36,7 +36,7 @@ floating-point physical ``p`` has global id ``int_physical_registers + p``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
 from repro.errors import RenameDeadlockError, RenameError
@@ -168,6 +168,24 @@ class Renamer:
         the unused staged registers."""
         for flist in self._rotating:
             flist.end_cycle()
+
+    def idle(self, cycles: int) -> None:
+        """Advance ``cycles`` cycles in which nothing renames or commits
+        (an event-horizon window): implementation 1 keeps staging and
+        recycling; implementation 2 has nothing to do."""
+        width = self._width
+        for flist in self._rotating:
+            flist.idle(width, cycles)
+
+    def idle_free_counts(self, file_id: int,
+                         cycles: int) -> List[Dict[int, int]]:
+        """Per subset, how many of the next ``cycles`` idle cycles end
+        with each :meth:`free_registers` count (read-only)."""
+        free_lists = self._classes[file_id].free_lists
+        if self.impl != 1:
+            return [{flist.available: cycles} for flist in free_lists]
+        return [flist.idle_free_counts(self._width, cycles)
+                for flist in free_lists]
 
     # -- availability ---------------------------------------------------------
 

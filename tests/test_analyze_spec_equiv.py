@@ -70,6 +70,7 @@ class TestCleanCodegen:
         assert "round_robin" in policies
         assert {c.deadlock_policy for c in configs} >= {"moves"}
         assert {c.cluster.num_lsus for c in configs} == {0, 1}
+        assert {c.rename_impl for c in configs} == {1, 2}
 
 
 class TestCorruptions:
@@ -87,6 +88,27 @@ class TestCorruptions:
         assert rules_of(findings) == {"SPEC-EQUIV-LITERAL"}
         assert any("commit width" in finding.message
                    for finding in findings)
+
+    @pytest.mark.parametrize("site", ["_f(8)", "_f.idle(8, skipped)"])
+    def test_wrong_impl1_staging_width(self, site):
+        config = wsrs_rc(512, rename_impl=1)
+        source = generate_stepper_source(config)
+        assert site in source
+        findings = check(source.replace(site, site.replace("8", "4")),
+                         config)
+        assert_provenance(findings, config)
+        assert rules_of(findings) == {"SPEC-EQUIV-LITERAL"}
+        assert any("staging width" in finding.message
+                   for finding in findings)
+
+    def test_impl1_staging_missing_or_misplaced(self, rc512):
+        config = wsrs_rc(512, rename_impl=1)
+        source = generate_stepper_source(config)
+        stripped = source.replace("_f(8)", "_f()").replace(
+            "_f.idle(8, skipped)", "_f.idle()")
+        assert "SPEC-EQUIV-LITERAL" in rules_of(check(stripped, config))
+        impl2_config, _ = rc512
+        assert "SPEC-EQUIV-LITERAL" in rules_of(check(source, impl2_config))
 
     def test_wrong_rob_capacity(self, rc512):
         config, source = rc512

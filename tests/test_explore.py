@@ -231,6 +231,14 @@ class TestCli:
         assert payload["frontier"]
         stdout = capsys.readouterr().out
         assert "frontier" in stdout
+        # Gear provenance is console-only: every cell line names its
+        # gear, and the closing tally counts them (the WSRS cell is a
+        # rename_impl=1 machine, which runs specialized too).
+        cell_lines = [line for line in stdout.splitlines()
+                      if line.startswith("  [")]
+        assert cell_lines
+        assert all(line.endswith("  specialized") for line in cell_lines)
+        assert f"gears: specialized {len(cell_lines)}\n" in stdout
 
     def test_explore_cli_rejects_bad_lattice(self, tmp_path, capsys):
         lattice = tmp_path / "lattice.json"

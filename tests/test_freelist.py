@@ -5,8 +5,12 @@ Implementation-1 renaming keeps each subset in one rotating deque
 section 2.2 machinery it replaced - a FIFO free list, a per-cycle
 staging list and the shift-register :class:`RecyclingPipeline` below -
 and a hypothesis property test drives both with random operation
-sequences, requiring identical pick order and counts.
+sequences, requiring identical pick order and counts.  A second
+property test pins the closed-form :meth:`RotatingFreeList.idle` jump
+against stepping the same idle cycles one at a time.
 """
+
+import copy
 
 from collections import deque
 from typing import Deque, Iterable, List
@@ -301,3 +305,116 @@ class TestRotationMatchesPipelineOracle:
         assert rotating.in_flight == 0
         order = [rotating.pick() for _ in range(rotating.available)]
         assert order == pick_many(oracle.free, oracle.free.available)
+
+
+def _drive(rotating: RotatingFreeList, width: int, ops) -> None:
+    """Run whole cycles of random take/recycle traffic; commit frees can
+    make a batch larger than ``width``."""
+    held: List[int] = []
+    for takes, frees, picks in ops:
+        rotating.begin_cycle(width)
+        for _ in range(min(takes, rotating.staged)):
+            held.append(rotating.take())
+        for _ in range(min(picks, rotating.available)):
+            held.append(rotating.pick())
+        for _ in range(min(frees, len(held))):
+            rotating.recycle(held.pop(0))
+        rotating.end_cycle()
+
+
+def _state(rotating: RotatingFreeList):
+    return (list(rotating._queue), rotating.avail, rotating.staged,
+            list(rotating.batches))
+
+
+def _step_idle(rotating: RotatingFreeList, width: int, cycles: int):
+    """Oracle: ``cycles`` explicit idle cycles; returns the tally of
+    free counts they end with."""
+    counts = {}
+    for _ in range(cycles):
+        rotating.begin_cycle(width)
+        rotating.end_cycle()
+        counts[rotating.available] = counts.get(rotating.available, 0) + 1
+    return counts
+
+
+_CYCLE_OPS = st.lists(st.tuples(st.integers(min_value=0, max_value=9),
+                                st.integers(min_value=0, max_value=12),
+                                st.integers(min_value=0, max_value=1)),
+                      max_size=30)
+
+
+class TestIdleMatchesStepping:
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(min_value=0, max_value=40),
+           depth=st.integers(min_value=1, max_value=5),
+           width=st.integers(min_value=1, max_value=9),
+           ops=_CYCLE_OPS,
+           cycles=st.integers(min_value=0, max_value=60))
+    def test_idle_equals_repeated_idle_cycles(self, size, depth, width,
+                                              ops, cycles):
+        jumped = RotatingFreeList(range(size), depth)
+        _drive(jumped, width, ops)
+        stepped = copy.deepcopy(jumped)
+        before = _state(jumped)
+        counts = jumped.idle_free_counts(width, cycles)
+        assert _state(jumped) == before  # the tally is read-only
+        jumped.idle(width, cycles)
+        assert counts == _step_idle(stepped, width, cycles)
+        assert _state(jumped) == _state(stepped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(min_value=0, max_value=60),
+           depth=st.integers(min_value=1, max_value=5),
+           width=st.integers(min_value=1, max_value=9),
+           ops=_CYCLE_OPS)
+    def test_transient_settles_within_two_depths(self, size, depth, width,
+                                                 ops):
+        # The bound that keeps idle() O(depth): after 2 * depth idle
+        # cycles the recurrence is at its fixed point or a pure shift.
+        flist = RotatingFreeList(range(size), depth)
+        _drive(flist, width, ops)
+        flist.idle(width, 2 * depth)
+        batches = list(flist.batches)
+        fixed = flist.avail >= width and batches == [width] * depth
+        shift = flist.avail <= width and max(batches) <= width
+        assert fixed or shift
+
+    def test_zero_cycles_is_a_no_op(self):
+        flist = RotatingFreeList(range(7), depth=2)
+        _drive(flist, 3, [(2, 0, 0), (0, 1, 0)])
+        before = _state(flist)
+        flist.idle(3, 0)
+        assert _state(flist) == before
+        assert flist.idle_free_counts(3, 0) == {}
+
+    def test_fixed_point_rotates_by_width_each_cycle(self):
+        flist = RotatingFreeList(range(20), depth=2)
+        _step_idle(flist, 4, 2)  # every batch is now full
+        assert (flist.avail, list(flist.batches)) == (12, [4, 4])
+        stepped = copy.deepcopy(flist)
+        flist.idle(4, 1_001)
+        _step_idle(stepped, 4, 1_001)
+        assert _state(flist) == _state(stepped)
+
+    def test_pure_shift_has_period_depth_plus_one(self):
+        # Fewer registers than one staged group: the whole subset
+        # circulates, so every depth + 1 cycles restore the state.
+        flist = RotatingFreeList(range(3), depth=2)
+        start = _state(flist)
+        flist.idle(8, 3 * 7)
+        assert _state(flist) == start
+        assert flist.idle_free_counts(8, 3) == {0: 2, 3: 1}
+
+    def test_commit_batch_larger_than_width_drains_first(self):
+        flist = RotatingFreeList(range(2), depth=2)
+        _drive(flist, 2, [(2, 0, 0)])
+        flist.begin_cycle(2)
+        for register in range(10, 17):
+            flist.recycle(register)
+        flist.end_cycle()
+        assert max(flist.batches) > 2
+        stepped = copy.deepcopy(flist)
+        flist.idle(2, 40)
+        _step_idle(stepped, 2, 40)
+        assert _state(flist) == _state(stepped)

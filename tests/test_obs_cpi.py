@@ -14,7 +14,7 @@ the six section-5 configurations with short slices:
 
 import pytest
 
-from repro.config import figure4_configs
+from repro.config import figure4_configs, wsrs_rc
 from repro.experiments.runner import RunSpec, execute
 from repro.obs.cpi import CAUSES, CycleAccountant, refine_window_stall
 from repro.obs.observer import gear_invariant_view
@@ -158,6 +158,16 @@ class TestComposition:
         assert sum(causes.values()) == result.stats.cycles
         assert causes["memory"] > 0
         assert result.obs["engine"]["horizon_jumps"] > 0
+
+    def test_recycling_renamer_free_depths_match_across_gears(self):
+        """Implementation-1 free lists keep staging and recycling through
+        a jumped window; the per-subset depth histograms must still
+        match the reference stepper's per-cycle samples."""
+        config = wsrs_rc(512, rename_impl=1)
+        fast = _run(config, benchmark="mcf", observe=True, gear="horizon")
+        ref = _run(config, benchmark="mcf", observe=True, gear="reference")
+        assert fast.obs["engine"]["horizon_jumps"] > 0
+        assert gear_invariant_view(fast.obs) == gear_invariant_view(ref.obs)
 
     def test_snapshot_is_picklable_plain_data(self):
         import pickle

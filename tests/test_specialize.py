@@ -8,10 +8,12 @@ Three angles:
   attached (which blocks specialization) the CPI stacks must also be
   bit-identical, i.e. the graceful fallback keeps every trace event
   firing.
-* **Guards** - every blocker (sanitizer, observer, rename_impl=1,
-  paranoid read-legality) keeps the generated stepper out, and the
-  mid-run guard (a deadlock-breaking move) despecializes exactly once
-  without double-counting a cycle.
+* **Guards** - every blocker (sanitizer, observer, paranoid
+  read-legality) keeps the generated stepper out, and the mid-run guard
+  (a deadlock-breaking move) despecializes exactly once without
+  double-counting a cycle, under both renaming implementations.
+* **Implementation 1** - the recycling renamer runs on both fast gears,
+  jumps included, with identical statistics and final free lists.
 * **Code generation** - the generated source is deterministic, bakes
   the configuration constants as literals, and is cached per source.
 * **Default gear** - a default :class:`RunSpec` runs every admissible
@@ -28,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import baseline_rr_256, figure4_configs, ws_rr, \
     wsrs_rc, wsrs_rm
+from repro.explore.lattice import build_config
 from repro.core.processor import Processor, simulate
 from repro.experiments import runner
 from repro.experiments.runner import RunSpec, execute
@@ -58,8 +61,18 @@ def _run(config, trace, gear, **kwargs):
     return processor, stats
 
 
+def _free_lists(processor):
+    """Every subset's register order and bookkeeping (implementation 1's
+    staged/avail/batches included)."""
+    return [(list(flist._queue), flist.available,
+             getattr(flist, "staged", None), getattr(flist, "avail", None),
+             list(getattr(flist, "batches", ())))
+            for cls in processor.renamer._classes
+            for flist in cls.free_lists]
+
+
 _FACTORIES = {
-    "rr": lambda total: baseline_rr_256(),
+    "rr": lambda total, rename_impl: baseline_rr_256(),
     "ws_rr": ws_rr,
     "wsrs_rc": wsrs_rc,
     "wsrs_rm": wsrs_rm,
@@ -72,7 +85,8 @@ def machine_configs(draw):
     # 384/4 = 96-register subsets stay above the section 2.3 deadlock
     # borderline for 64 logical registers.
     total = draw(st.sampled_from([384, 512]))
-    return _FACTORIES[factory](total)
+    return _FACTORIES[factory](total,
+                               rename_impl=draw(st.sampled_from([1, 2])))
 
 
 class TestPropertyEquivalence:
@@ -84,8 +98,8 @@ class TestPropertyEquivalence:
         trace = list(spec_trace(benchmark, SLICE, seed=seed))
         prints = {}
         for gear in GEARS:
-            _, stats = _run(config, trace, gear)
-            prints[gear] = _fingerprint(stats)
+            processor, stats = _run(config, trace, gear)
+            prints[gear] = (_fingerprint(stats), _free_lists(processor))
         assert prints["reference"] == prints["horizon"]
         assert prints["reference"] == prints["specialized"]
 
@@ -156,13 +170,12 @@ class TestEntryGuards:
                    for blocker in specialization_blockers(processor))
         assert processor.gear != "specialized"
 
-    def test_recycling_renamer_blocks(self):
+    def test_recycling_renamer_specializes(self):
         processor = Processor(wsrs_rc(512, rename_impl=1),
                               iter(spec_trace("gzip", SLICE)),
                               gear="specialized", check_invariants=False)
-        assert any("rename_impl=1" in blocker
-                   for blocker in specialization_blockers(processor))
-        assert processor.gear != "specialized"
+        assert specialization_blockers(processor) == []
+        assert processor.gear == "specialized"
 
     def test_paranoid_wsrs_blocks_but_plain_ws_does_not(self):
         paranoid = Processor(wsrs_rc(512),
@@ -219,6 +232,50 @@ class TestMidRunGuard:
                             "specialized")
         assert processor._specialized_run is None
         assert processor.despecializations == 1
+
+
+    def test_impl1_fallback_is_bit_identical(self):
+        # Implementation 1 renames only from the staged group, which a
+        # move never refills: the move cycle stalls, and the guard still
+        # trips so the generic gears publish stats.deadlock_moves.
+        config = wsrs_rc(128, rename_impl=1, deadlock_policy="moves",
+                         fp_physical_registers=160, front_width=4)
+        trace = list(spec_trace("gzip", SLICE, seed=1))
+        ref_proc, ref = _run(config, trace, "reference")
+        spec_proc, spec = _run(config, trace, "specialized")
+        assert ref_proc.renamer.deadlock_moves > 0
+        assert spec_proc.despecializations == 1
+        assert spec_proc.gear == "horizon"
+        assert _fingerprint(ref) == _fingerprint(spec)
+        assert _free_lists(ref_proc) == _free_lists(spec_proc)
+
+
+class TestRecyclingRenamer:
+    """Implementation 1 on the fast gears: the staging/recycling work
+    runs every stepped cycle and in closed form over every jump."""
+
+    @pytest.mark.parametrize("config", [
+        ws_rr(512, rename_impl=1), wsrs_rc(512, rename_impl=1),
+        build_config("wsrs", 4, 81, 8, "random_commutative", "moves"),
+    ], ids=lambda c: c.name.replace(" ", "_"))
+    @pytest.mark.parametrize("profile", ["gzip", "mcf"])
+    def test_three_gears_agree(self, config, profile):
+        assert config.rename_impl == 1
+        trace = list(spec_trace(profile, SLICE, seed=1))
+        ref_proc, ref = _run(config, trace, "reference")
+        for gear in ("horizon", "specialized"):
+            processor, stats = _run(config, trace, gear)
+            assert processor.gear == gear
+            assert processor.horizon_jumps > 0
+            assert _fingerprint(stats) == _fingerprint(ref), gear
+            assert _free_lists(processor) == _free_lists(ref_proc), gear
+
+    def test_codegen_drives_the_rotating_free_lists(self):
+        source = generate_stepper_source(wsrs_rc(512, rename_impl=1))
+        for call in ("_f(8)", "_f()", "_q.take()", ".recycle(",
+                     "_f.idle(8, skipped)", "if not _q.staged:"):
+            assert call in source, call
+        assert "popleft()" not in source.replace("rob_popleft", "")
 
 
 class TestCodeGeneration:
@@ -281,11 +338,13 @@ class TestDefaultGear:
             assert _fingerprint(default.stats) \
                 == _fingerprint(reference.stats), config.name
 
-    def test_impl1_wsrs_cell_falls_back_to_reference(self):
-        result = execute(self._spec(wsrs_rc(512, rename_impl=1)))
-        assert result.gear == "reference"
-        assert any("rename_impl=1" in blocker
-                   for blocker in result.blockers)
+    def test_impl1_wsrs_cell_runs_specialized_and_matches_reference(self):
+        config = wsrs_rc(512, rename_impl=1)
+        result = execute(self._spec(config))
+        reference = execute(self._spec(config, gear="reference"))
+        assert result.gear == "specialized"
+        assert result.blockers == []
+        assert _fingerprint(result.stats) == _fingerprint(reference.stats)
 
     def test_fast_path_false_still_forces_reference(self):
         processor = Processor(figure4_configs()[0], iter([]),
