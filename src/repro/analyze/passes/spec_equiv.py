@@ -191,8 +191,8 @@ def sampled_configs(count: int = 50,
     the cluster FU mix and the renaming implementation; invalid draws
     are discarded through :meth:`MachineConfig.validate`, so every
     returned config is one the simulator would accept.  The renaming
-    implementation comes from a second generator, so adding it left
-    every other draw of the sample unchanged.
+    implementation comes from a second generator, so it never shifts
+    the other draws.
     """
     rng = random.Random(seed)
     impl_rng = random.Random(seed + 1)
