@@ -265,7 +265,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     benchmark = args.benchmark or profile.DEFAULT_BENCHMARK
     record = profile.run(benchmark=benchmark, seed=args.seed,
                          quick=args.quick, out=args.out)
-    history = args.history or perf_history.DEFAULT_HISTORY
     regressed = False
     if args.check_regression:
         # Gate against the last *committed* record, before this run is
@@ -274,15 +273,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                      if args.regression_tolerance is not None
                      else perf_history.DEFAULT_TOLERANCE)
         ok, messages = perf_history.check_regression(
-            record, path=history, tolerance=tolerance)
+            record, path=args.history or perf_history.DEFAULT_HISTORY,
+            tolerance=tolerance)
         regressed = not ok
         for message in messages:
             print(f"perf-history: {message}",
                   file=sys.stderr if regressed else sys.stdout)
-    if not args.no_history:
-        line = perf_history.append_record(record, path=history)
+    if args.history:
+        line = perf_history.append_record(record, path=args.history)
         print(f"perf-history: appended {line['sha']} ({line['date']}) "
-              f"to {history}")
+              f"to {args.history}")
     if not record["identical"]:
         return 1
     if regressed:
@@ -317,10 +317,6 @@ def _cmd_microbench(args: argparse.Namespace) -> int:
         stats = simulate(config, iter(trace), measure=len(trace))
         print(f"{name:<16s}{len(trace):>8d}{stats.ipc:>8.2f}"
               f"{stats.unbalancing_degree:>7.0f}%")
-    from repro.experiments import schedbench
-
-    print()
-    print(schedbench.format_results(schedbench.run_all()))
     return 0
 
 
@@ -364,15 +360,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.server import build_scheduler, serve
+def _scheduler_from_args(args: argparse.Namespace, **extra):
+    """The scheduler behind ``serve`` and both ``fleet serve-*``."""
+    from repro.service.server import build_scheduler
 
-    scheduler = build_scheduler(
-        workers=args.workers or 2, backlog=args.backlog,
-        quota=args.quota, job_timeout=args.job_timeout,
-        retry_budget=args.retry_budget, drain_timeout=args.drain_timeout,
-        store_dir=args.store, ttl_seconds=args.ttl)
-    return serve(host=args.host, port=args.port, scheduler=scheduler)
+    return build_scheduler(
+        workers=getattr(args, "workers", None) or 2,
+        backlog=args.backlog, quota=getattr(args, "quota", 16),
+        job_timeout=args.job_timeout, retry_budget=args.retry_budget,
+        drain_timeout=args.drain_timeout, store_dir=args.store,
+        ttl_seconds=args.ttl, **extra)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service.server import serve
+
+    return serve(host=args.host, port=args.port,
+                 scheduler=_scheduler_from_args(args))
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -386,7 +390,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 2
     url = args.url
     if url is None:
-        from repro.fleet.server import DEFAULT_COORDINATOR_PORT
+        from repro.fleet.coordinator import DEFAULT_COORDINATOR_PORT
 
         url = (f"http://127.0.0.1:{DEFAULT_COORDINATOR_PORT}"
                if args.fleet else "http://127.0.0.1:8787")
@@ -440,26 +444,26 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    if args.fleet:
-        from repro.fleet import bench
+    from repro.service import loadtest
 
+    if args.fleet:
         if args.url is not None:
             print("error: --fleet spins up its own local fleet; --url "
                   "is incompatible", file=sys.stderr)
             return 2
-        record = bench.run_fleet(
+        record = loadtest.run_fleet(
             workers=args.workers or 3, clients=args.clients,
             benchmarks=tuple(args.benchmarks) if args.benchmarks
-            else bench.DEFAULT_BENCHMARKS,
+            else loadtest.DEFAULT_BENCHMARKS,
             configs=(args.config,) if args.config
-            else bench.DEFAULT_CONFIGS,
+            else loadtest.FLEET_CONFIGS,
             measure=args.measure if args.measure is not None else 500,
             warmup=args.warmup if args.warmup is not None else 250,
             seed=args.seed, out=args.out or "BENCH_fleet.json",
             kill_test=not args.no_kill,
             cell_delay_ms=args.cell_delay_ms
             if args.cell_delay_ms is not None
-            else bench.DEFAULT_CELL_DELAY_MS,
+            else loadtest.DEFAULT_CELL_DELAY_MS,
             history=args.history)
         if args.min_speedup is not None \
                 and record["speedup"] < args.min_speedup:
@@ -470,50 +474,39 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                    or record["kill"]["completed"] == record["kill"]["jobs"])
         return 0 if record["identical"] and kill_ok else 1
 
-    from repro.service.loadtest import run
-
-    record = run(url=args.url, clients=args.clients,
-                 benchmarks=args.benchmarks or ["gzip", "mcf"],
-                 configs=[args.config] if args.config else
-                 ["RR 256", "WSRS RC S 512"],
-                 measure=args.measure if args.measure is not None
-                 else 4_000,
-                 warmup=args.warmup if args.warmup is not None
-                 else 2_000,
-                 seed=args.seed, passes=args.passes,
-                 out=args.out or "BENCH_service.json",
-                 server_workers=args.workers or 2,
-                 direct_workers=args.workers)
+    record = loadtest.run(
+        url=args.url, clients=args.clients,
+        benchmarks=args.benchmarks or loadtest.DEFAULT_BENCHMARKS,
+        configs=[args.config] if args.config
+        else loadtest.DEFAULT_CONFIGS,
+        measure=args.measure if args.measure is not None else 4_000,
+        warmup=args.warmup if args.warmup is not None else 2_000,
+        seed=args.seed, passes=args.passes,
+        out=args.out or "BENCH_service.json",
+        server_workers=args.workers or 2, direct_workers=args.workers)
     return 0 if record["identical"] and not record["degraded"] else 1
 
 
 def _cmd_fleet_coordinator(args: argparse.Namespace) -> int:
-    from repro.fleet.server import build_coordinator, serve_coordinator
+    from repro.fleet.coordinator import FleetConfig, FleetCoordinator
+    from repro.service.server import serve
 
-    coordinator = build_coordinator(
-        workers=args.worker or None, backlog=args.backlog,
-        quota=args.quota, job_timeout=args.job_timeout,
-        retry_budget=args.retry_budget,
-        heartbeat_interval=args.heartbeat_interval,
-        heartbeat_misses=args.heartbeat_misses,
-        spill_threshold=args.spill_threshold,
-        drain_timeout=args.drain_timeout,
-        store_dir=args.store, ttl_seconds=args.ttl)
-    return serve_coordinator(host=args.host, port=args.port,
-                             coordinator=coordinator)
+    ring = FleetCoordinator(
+        FleetConfig(heartbeat_interval=args.heartbeat_interval,
+                    heartbeat_misses=args.heartbeat_misses,
+                    spill_threshold=args.spill_threshold),
+        workers=args.worker or ())
+    return serve(host=args.host, port=args.port,
+                 scheduler=_scheduler_from_args(args, backend=ring))
 
 
 def _cmd_fleet_worker(args: argparse.Namespace) -> int:
-    from repro.fleet.worker import serve_worker
+    from repro.fleet.worker import delay_runner, serve_worker
 
-    return serve_worker(host=args.host, port=args.port,
-                        coordinator_url=args.coordinator,
-                        workers=args.workers or 2, backlog=args.backlog,
-                        job_timeout=args.job_timeout,
-                        retry_budget=args.retry_budget,
-                        drain_timeout=args.drain_timeout,
-                        store_dir=args.store, ttl_seconds=args.ttl,
-                        cell_delay_ms=args.cell_delay_ms)
+    scheduler = _scheduler_from_args(
+        args, cell_runner=delay_runner(args.cell_delay_ms))
+    return serve_worker(scheduler, host=args.host, port=args.port,
+                        coordinator_url=args.coordinator)
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -585,6 +578,33 @@ def _cmd_profiles(args: argparse.Namespace) -> int:
         profile = PROFILES[name]
         print(f"{name:<10s}{profile.kind:<7s}{profile.description}")
     return 0
+
+
+def _add_scheduler_args(parser: argparse.ArgumentParser, backlog: int,
+                        retry_help: str, store_help: str,
+                        quota: Optional[int] = None) -> None:
+    """The admission and store flags ``serve`` and both ``fleet
+    serve-*`` commands share (a worker keeps the default quota)."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--backlog", type=int, default=backlog,
+                        help="queued jobs admitted before load shedding")
+    if quota is not None:
+        parser.add_argument("--quota", type=int, default=quota,
+                            help="active jobs allowed per client id")
+    parser.add_argument("--job-timeout", type=float, default=600.0,
+                        metavar="SECONDS",
+                        help="per-job wall-clock budget (across "
+                             "requeues)")
+    parser.add_argument("--retry-budget", type=int, default=2,
+                        help=retry_help)
+    parser.add_argument("--drain-timeout", type=float, default=30.0,
+                        metavar="SECONDS",
+                        help="shutdown grace for in-flight jobs")
+    parser.add_argument("--store", default=None, metavar="DIR",
+                        help=store_help)
+    parser.add_argument("--ttl", type=float, default=86_400.0,
+                        metavar="SECONDS",
+                        help="result-store time-to-live")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -680,9 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "perf-smoke gate)")
     pc.add_argument("--history", default=None, metavar="PATH",
                     help="perf-trajectory JSONL to append this run to "
-                         "(default: BENCH_history.jsonl)")
-    pc.add_argument("--no-history", action="store_true",
-                    help="do not append to the perf-trajectory file")
+                         "(default: append nowhere; --check-regression "
+                         "reads BENCH_history.jsonl unless given this)")
     pc.add_argument("--check-regression", action="store_true",
                     help="exit non-zero when any configuration's "
                          "specialized-gear KIPS falls below the "
@@ -802,29 +821,16 @@ def build_parser() -> argparse.ArgumentParser:
     px = sub.add_parser(
         "serve",
         help="run the simulation job service (HTTP, asyncio, stdlib)")
-    px.add_argument("--host", default="127.0.0.1")
     px.add_argument("--port", type=int, default=8787,
                     help="listen port (0 = OS-assigned, printed on start)")
     px.add_argument("--workers", type=_worker_count, default=None,
                     metavar="N",
                     help="simulation worker processes (default: 2)")
-    px.add_argument("--backlog", type=int, default=64,
-                    help="queued jobs admitted before load shedding")
-    px.add_argument("--quota", type=int, default=16,
-                    help="active jobs allowed per client id")
-    px.add_argument("--job-timeout", type=float, default=600.0,
-                    metavar="SECONDS", help="per-job wall-clock budget")
-    px.add_argument("--retry-budget", type=int, default=2,
-                    help="requeues after worker crashes before failing")
-    px.add_argument("--drain-timeout", type=float, default=30.0,
-                    metavar="SECONDS",
-                    help="shutdown grace for in-flight jobs")
-    px.add_argument("--store", default=None, metavar="DIR",
-                    help="result-store directory (enables dedup across "
-                         "restarts and cached-result short-circuiting)")
-    px.add_argument("--ttl", type=float, default=86_400.0,
-                    metavar="SECONDS",
-                    help="result-store time-to-live")
+    _add_scheduler_args(
+        px, backlog=64, quota=16,
+        retry_help="requeues after worker crashes before failing",
+        store_help="result-store directory (enables dedup across "
+                   "restarts and cached-result short-circuiting)")
     px.set_defaults(func=_cmd_serve)
 
     pj = sub.add_parser(
@@ -974,7 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fleet coordinator: client-facing /v1/jobs front "
              "door that consistent-hash shards jobs over registered "
              "workers, heartbeats them, and requeues on node loss")
-    pfc.add_argument("--host", default="127.0.0.1")
     pfc.add_argument("--port", type=int, default=8788,
                      help="listen port (0 = OS-assigned, printed on "
                           "start)")
@@ -983,15 +988,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="static worker listing (repeatable); workers "
                           "can also self-register via POST "
                           "/v1/fleet/register")
-    pfc.add_argument("--backlog", type=int, default=256,
-                     help="queued jobs admitted before load shedding")
-    pfc.add_argument("--quota", type=int, default=32,
-                     help="active jobs allowed per client id")
-    pfc.add_argument("--job-timeout", type=float, default=600.0,
-                     metavar="SECONDS",
-                     help="per-job wall-clock budget across retries")
-    pfc.add_argument("--retry-budget", type=int, default=2,
-                     help="requeues after node losses before failing")
+    _add_scheduler_args(
+        pfc, backlog=256, quota=32,
+        retry_help="requeues after node losses before failing",
+        store_help="authoritative result-store directory (replayed on "
+                   "coordinator restart)")
     pfc.add_argument("--heartbeat-interval", type=float, default=0.5,
                      metavar="SECONDS",
                      help="how often every worker's /healthz is probed")
@@ -1002,21 +1003,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="outstanding-job imbalance at which a job "
                           "spills from its primary owner to the "
                           "secondary")
-    pfc.add_argument("--drain-timeout", type=float, default=30.0,
-                     metavar="SECONDS",
-                     help="shutdown grace for in-flight jobs")
-    pfc.add_argument("--store", default=None, metavar="DIR",
-                     help="authoritative result-store directory "
-                          "(replayed on coordinator restart)")
-    pfc.add_argument("--ttl", type=float, default=86_400.0,
-                     metavar="SECONDS", help="result-store time-to-live")
     pfc.set_defaults(func=_cmd_fleet_coordinator)
 
     pfw = fleet_sub.add_parser(
         "serve-worker",
         help="run one worker node: the full single-host service stack "
              "on a fixed port, self-registered with the coordinator")
-    pfw.add_argument("--host", default="127.0.0.1")
     pfw.add_argument("--port", type=int, required=True,
                      help="listen port (explicit: the coordinator needs "
                           "a stable address to route and probe)")
@@ -1026,21 +1018,11 @@ def build_parser() -> argparse.ArgumentParser:
     pfw.add_argument("--workers", type=_worker_count, default=None,
                      metavar="N",
                      help="simulation worker processes (default: 2)")
-    pfw.add_argument("--backlog", type=int, default=64,
-                     help="queued jobs admitted before load shedding")
-    pfw.add_argument("--job-timeout", type=float, default=600.0,
-                     metavar="SECONDS", help="per-job wall-clock budget")
-    pfw.add_argument("--retry-budget", type=int, default=2,
-                     help="requeues after pool-worker crashes before "
-                          "failing")
-    pfw.add_argument("--drain-timeout", type=float, default=30.0,
-                     metavar="SECONDS",
-                     help="shutdown grace for in-flight jobs")
-    pfw.add_argument("--store", default=None, metavar="DIR",
-                     help="worker-local result-store directory (the "
-                          "routing-affinity cache)")
-    pfw.add_argument("--ttl", type=float, default=86_400.0,
-                     metavar="SECONDS", help="result-store time-to-live")
+    _add_scheduler_args(
+        pfw, backlog=64,
+        retry_help="requeues after pool-worker crashes before failing",
+        store_help="worker-local result-store directory (the "
+                   "routing-affinity cache)")
     pfw.add_argument("--cell-delay-ms", type=float, default=0.0,
                      metavar="MS",
                      help="per-cell service-time floor (the scaling "

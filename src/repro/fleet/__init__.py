@@ -2,8 +2,11 @@
 
 One *coordinator* process shards simulate/matrix/stacks/explore jobs
 across N *worker* nodes.  Each worker is a full PR-5 service stack
-(scheduler + process pool + worker-local result store); the coordinator
-adds the fleet layer on top:
+(scheduler + process pool + worker-local result store).  The
+coordinator is the same service stack - admission core, job table,
+drain, HTTP front - with the process pool swapped for a ring dispatch
+backend (:class:`repro.fleet.coordinator.FleetCoordinator`) that adds
+the fleet layer:
 
 * consistent-hash routing on the existing idempotency keys
   (:mod:`repro.fleet.ring`), so a repeat submission lands on the node
@@ -15,10 +18,11 @@ adds the fleet layer on top:
   copy (same :class:`repro.service.store.ResultStore` on
   :mod:`repro.atomicio`), each worker keeps a local cache;
 * node-loss requeue: jobs routed to a dead worker fold back into the
-  same bounded crash-requeue budget the single-node scheduler uses.
+  same bounded requeue budget the single-node scheduler applies to
+  worker-process crashes.
 
-The client API is unchanged - the coordinator speaks the exact
-``/v1/jobs`` protocol of :mod:`repro.service.server`, so
+The client API is unchanged - the coordinator is served by
+:mod:`repro.service.server` itself, so
 :class:`repro.service.client.ServiceClient` talks to a fleet without
 knowing it.
 """
@@ -30,23 +34,13 @@ from repro.fleet.coordinator import (
 )
 from repro.fleet.local import LocalFleet
 from repro.fleet.ring import HashRing
-from repro.fleet.server import (
-    CoordinatorServer,
-    EmbeddedCoordinator,
-    build_coordinator,
-    serve_coordinator,
-)
 from repro.fleet.worker import serve_worker
 
 __all__ = [
-    "CoordinatorServer",
-    "EmbeddedCoordinator",
     "FleetConfig",
     "FleetCoordinator",
     "HashRing",
     "LocalFleet",
     "WorkerNode",
-    "build_coordinator",
-    "serve_coordinator",
     "serve_worker",
 ]

@@ -1,9 +1,11 @@
-"""The fleet coordinator: sharded admission, liveness, node-loss requeue.
+"""The fleet coordinator: the ring dispatch backend of the job scheduler.
 
 One coordinator fronts N worker nodes, each a full single-host service
-stack (:mod:`repro.service`).  The coordinator is deliberately *thin* -
-it runs no simulations and holds no process pool; it owns exactly four
-things:
+stack (:mod:`repro.service`).  The coordinator is the service's own
+:class:`~repro.service.scheduler.Scheduler` - the same admission core,
+job table, drain and HTTP front - with :class:`FleetCoordinator` as its
+backend in place of the process pool.  It runs no simulations; the
+backend owns exactly four things:
 
 * **Routing.**  Jobs shard over workers by consistent hash of the
   existing idempotency key (:class:`repro.fleet.ring.HashRing`), so a
@@ -20,10 +22,11 @@ things:
   rejoins (revival), reclaiming exactly its old key ranges.
 * **Requeue.**  A job in flight on a node that dies - transport failure
   mid-poll, or a worker-side cancellation the client never asked for -
-  is requeued through the ring (excluding the lost node) under the same
-  bounded ``retry_budget`` semantics the single-node scheduler applies
-  to worker-process crashes: ``attempts > retry_budget`` fails the job
-  with a diagnosable error instead of retrying forever.
+  is requeued through the ring (excluding the lost node) by the core's
+  :meth:`~repro.service.scheduler.Scheduler._requeue`, the same bounded
+  ``retry_budget`` the pool backend applies to worker-process crashes:
+  ``attempts > retry_budget`` fails the job with a diagnosable error
+  instead of retrying forever.
 * **The authoritative result store.**  Every completed payload is
   written to the coordinator's own :class:`repro.service.store
   .ResultStore` (atomic publication, TTL + corrupt-record sweep), on
@@ -31,7 +34,7 @@ things:
   *replays* completed work from disk, and a worker restart loses only
   cache locality, never results.
 
-Admission mirrors the single-node scheduler - result-store
+Admission is the single-node scheduler's own - result-store
 short-circuit, in-flight dedup, per-client quota, bounded backlog with
 ``Retry-After`` sheds - so :class:`repro.service.client.ServiceClient`
 cannot tell a coordinator from a plain service.
@@ -45,34 +48,30 @@ ASYNC-BLOCKING-CALL discipline) and worker HTTP through the async
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.fleet.netio import TransportError, request_json
 from repro.fleet.ring import HashRing
-from repro.obs.registry import ObsRegistry
 from repro.service import jobs as jobmodel
-from repro.service.jobs import Job, JobRequest, JobValidationError
-from repro.service.scheduler import Admission
-from repro.service.store import ResultStore
+from repro.service.jobs import Job
+from repro.service.scheduler import Backend
+
+#: Default coordinator port (one above the service's 8787).
+DEFAULT_COORDINATOR_PORT = 8788
+#: Coordinator admission bounds: the backlog and per-client quota of a
+#: front door over many nodes, four and two times one node's defaults.
+COORDINATOR_BACKLOG = 256
+COORDINATOR_QUOTA = 32
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Deployment knobs of one coordinator."""
+    """Ring knobs of one coordinator.  Admission knobs (backlog, quota,
+    job timeout, retry budget, drain, Retry-After bounds, eviction) are
+    the core's :class:`~repro.service.scheduler.SchedulerConfig`."""
 
-    #: Queued (accepted, not yet forwarded) jobs before load shedding.
-    max_backlog: int = 256
-    #: Queued+running jobs one client may hold before shedding.
-    per_client_quota: int = 32
-    #: Node-loss requeues granted per job before failing it - the same
-    #: semantics as the scheduler's crash-requeue budget.
-    retry_budget: int = 2
-    #: Wall-clock budget of one job across all requeues (seconds).
-    job_timeout: float = 600.0
     #: Seconds between heartbeat probe rounds.
     heartbeat_interval: float = 0.5
     #: Consecutive missed heartbeats before a node is declared dead.
@@ -86,13 +85,6 @@ class FleetConfig:
     spill_threshold: int = 4
     #: Virtual nodes per worker on the hash ring.
     vnodes: int = 64
-    #: How long shutdown waits for in-flight jobs (seconds).
-    drain_timeout: float = 30.0
-    #: Retry-After bounds for shed clients (seconds).
-    min_retry_after: int = 1
-    max_retry_after: int = 60
-    #: Run the store's bulk eviction every N submissions (0 = never).
-    evict_every: int = 64
 
 
 @dataclass
@@ -118,55 +110,28 @@ class NodeLost(Exception):
     """The node in charge of a job died (or drained) under it."""
 
 
-def request_payload(request: JobRequest) -> Dict:
-    """Reconstruct the JSON submission body of a validated request.
+class FleetCoordinator(Backend):
+    """Routing + liveness + forwarding over a set of worker nodes."""
 
-    Forwarding re-submits the *canonical* form, so the worker derives
-    the same idempotency key the coordinator routed on - which is what
-    makes the worker's local result cache line up with ring ownership.
-    """
-    if request.kind == "explore":
-        assert request.lattice is not None
-        return {"kind": "explore",
-                "lattice": json.loads(request.lattice),
-                "budget": request.budget,
-                "prefilter": request.prefilter,
-                "rank": request.rank,
-                "measure": request.measure, "warmup": request.warmup,
-                "seed": request.seed, "priority": request.priority}
-    return {"kind": request.kind,
-            "benchmarks": list(request.benchmarks),
-            "configs": list(request.configs),
-            "measure": request.measure, "warmup": request.warmup,
-            "seed": request.seed, "observe": request.observe,
-            "priority": request.priority}
-
-
-class FleetCoordinator:
-    """Admission + routing + liveness over a set of worker nodes."""
+    prefix = "fleet_"
+    store_hit_counter = "fleet_store_hits_total"
+    fleet = True
 
     def __init__(self, config: Optional[FleetConfig] = None,
-                 store: Optional[ResultStore] = None,
-                 registry: Optional[ObsRegistry] = None,
-                 workers: Optional[List[str]] = None) -> None:
+                 workers: Sequence[str] = ()) -> None:
         self.config = config or FleetConfig()
-        self.store = store
-        self.registry = registry or ObsRegistry()
         self.nodes: Dict[str, WorkerNode] = {}
         self.ring = HashRing(vnodes=self.config.vnodes)
-        self.jobs: Dict[str, Job] = {}
-        self._by_key: Dict[str, Job] = {}
-        self._client_active: Dict[str, int] = {}
+        self._static_workers = list(workers)
         self._node_of: Dict[str, str] = {}   # job id -> worker url
-        self._queued = 0
-        self._running = 0
-        self._submissions = 0
-        self._accepting = True
-        self._draining = False
         self._tasks: List["asyncio.Task"] = []
         self._heartbeat_task: Optional["asyncio.Task"] = None
-        self.started_at = time.time()
-        for url in workers or []:
+
+    def bind(self, core) -> None:
+        super().bind(core)
+        # Static workers register once the registry exists, so they are
+        # counted like self-registered ones.
+        for url in self._static_workers:
             self.add_worker(url)
 
     # -- membership ------------------------------------------------------
@@ -207,26 +172,26 @@ class FleetCoordinator:
         return [url for url, node in sorted(self.nodes.items())
                 if node.alive]
 
-    # -- lifecycle -------------------------------------------------------
+    @property
+    def slots(self) -> int:
+        return max(1, len(self.alive_workers))
+
+    # -- backend lifecycle -----------------------------------------------
 
     async def start(self) -> None:
         if self._heartbeat_task is None:
             self._heartbeat_task = asyncio.get_running_loop().create_task(
                 self._heartbeat_loop(), name="wsrs-fleet-heartbeat")
 
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop admission, let forwarded jobs finish, reap the tasks."""
-        self._accepting = False
-        self._draining = True
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout
-            while self._running and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
-        for job in list(self.jobs.values()):
-            if job.state == jobmodel.QUEUED:
-                self._finish(job, jobmodel.CANCELLED,
-                             error="coordinator shutting down",
-                             queued=True)
+    def dispatch(self, job: Job) -> None:
+        task = asyncio.get_running_loop().create_task(
+            self._dispatch(job), name=f"wsrs-fleet-dispatch-{job.id}")
+        self._tasks.append(task)
+        if len(self._tasks) > 64:
+            self._tasks = [item for item in self._tasks
+                           if not item.done()]
+
+    async def stop(self) -> None:
         pending = [task for task in self._tasks if not task.done()]
         if self._heartbeat_task is not None:
             pending.append(self._heartbeat_task)
@@ -236,134 +201,11 @@ class FleetCoordinator:
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
         self._tasks = []
-        if self.store is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.store.evict_expired)
-
-    # -- admission (mirrors Scheduler.submit) ----------------------------
-
-    def submit(self, payload: object, client: str = "anonymous"
-               ) -> Admission:
-        """Admit (or shed) one submission; accepted jobs dispatch async."""
-        self._submissions += 1
-        if (self.store is not None and self.config.evict_every
-                and self._submissions % self.config.evict_every == 0):
-            self.store.evict_expired()
-        if not self._accepting:
-            self.registry.count("admission_shed_total")
-            return Admission(status=503, error="coordinator is draining",
-                             retry_after=self.config.max_retry_after)
-        try:
-            request = jobmodel.parse_request(payload)
-        except JobValidationError as exc:
-            self.registry.count("jobs_rejected_total")
-            return Admission(status=400, error=str(exc))
-        key = jobmodel.job_key(request)
-
-        # Authoritative-store short circuit: identical work already
-        # completed somewhere in the fleet (possibly before a restart).
-        if self.store is not None:
-            stored = self.store.get(key)
-            if stored is not None:
-                self.registry.count("fleet_store_hits_total")
-                job = self._attach(request, key, client)
-                job.cached = True
-                job.started_at = job.submitted_at
-                self._finish(job, jobmodel.DONE, result=stored,
-                             queued=False, account_client=False)
-                return Admission(status=200, job=job, cached=True)
-
-        existing = self._by_key.get(key)
-        if (existing is not None and not existing.terminal
-                and not existing.cancel_requested):
-            existing.deduped += 1
-            self.registry.count("dedup_hits_total")
-            return Admission(status=202, job=existing, deduped=True)
-
-        active = self._client_active.get(client, 0)
-        if active >= self.config.per_client_quota:
-            self.registry.count("admission_shed_total")
-            return Admission(
-                status=429,
-                error=f"client {client!r} already has {active} active "
-                      f"job(s) (quota {self.config.per_client_quota})",
-                retry_after=self.retry_after_hint())
-        if self._queued >= self.config.max_backlog:
-            self.registry.count("admission_shed_total")
-            return Admission(
-                status=429,
-                error=f"backlog full ({self._queued} job(s) queued, "
-                      f"bound {self.config.max_backlog})",
-                retry_after=self.retry_after_hint())
-
-        job = self._attach(request, key, client)
-        job.state = jobmodel.QUEUED
-        self._by_key[key] = job
-        self._client_active[client] = active + 1
-        self._queued += 1
-        self.registry.count("fleet_jobs_submitted_total")
-        task = asyncio.get_running_loop().create_task(
-            self._dispatch(job), name=f"wsrs-fleet-dispatch-{job.id}")
-        self._tasks.append(task)
-        if len(self._tasks) > 64:
-            self._tasks = [item for item in self._tasks
-                           if not item.done()]
-        return Admission(status=202, job=job)
-
-    def _attach(self, request: JobRequest, key: str, client: str) -> Job:
-        job = Job(id=jobmodel.new_job_id(), key=key, request=request,
-                  client=client, submitted_at=time.time())
-        self.jobs[job.id] = job
-        return job
-
-    def retry_after_hint(self) -> int:
-        latency = self.registry.histograms.get("fleet_job_latency_ms")
-        mean_ms = latency.mean if latency is not None else 0.0
-        slots = max(1, len(self.alive_workers))
-        if mean_ms <= 0:
-            return self.config.min_retry_after
-        waves = math.ceil((self._queued + 1) / slots)
-        estimate = math.ceil(waves * mean_ms / 1000.0)
-        return max(self.config.min_retry_after,
-                   min(self.config.max_retry_after, estimate))
 
     # -- queries ---------------------------------------------------------
 
-    def get(self, job_id: str) -> Optional[Job]:
-        return self.jobs.get(job_id)
-
     def node_of(self, job_id: str) -> Optional[str]:
         return self._node_of.get(job_id)
-
-    def cancel(self, job_id: str) -> Optional[bool]:
-        """Flag a job for cancellation (the dispatch task forwards it)."""
-        job = self.jobs.get(job_id)
-        if job is None:
-            return None
-        if job.terminal:
-            return False
-        job.cancel_requested = True
-        return True
-
-    @property
-    def queued(self) -> int:
-        return self._queued
-
-    @property
-    def running(self) -> int:
-        return self._running
-
-    @property
-    def accepting(self) -> bool:
-        return self._accepting
-
-    def counts(self) -> Dict[str, int]:
-        states: Dict[str, int] = {state: 0 for state in (
-            jobmodel.QUEUED, jobmodel.RUNNING, jobmodel.DONE,
-            jobmodel.FAILED, jobmodel.CANCELLED)}
-        for job in self.jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
-        return states
 
     def fleet_summary(self) -> Dict:
         return {
@@ -371,6 +213,10 @@ class FleetCoordinator:
                         for _, node in sorted(self.nodes.items())],
             "alive": len(self.alive_workers),
         }
+
+    def gauges(self) -> Dict[str, float]:
+        return {"wsrs_fleet_workers_total": len(self.nodes),
+                "wsrs_fleet_workers_alive": len(self.alive_workers)}
 
     # -- routing ---------------------------------------------------------
 
@@ -426,19 +272,16 @@ class FleetCoordinator:
 
     async def _dispatch(self, job: Job) -> None:
         """Drive one job to a terminal state, requeueing on node loss."""
-        deadline = time.monotonic() + self.config.job_timeout
+        core = self.core
+        deadline = time.monotonic() + core.config.job_timeout
         avoid: List[str] = []
         try:
             while True:
                 if job.terminal:
-                    return
-                if job.cancel_requested:
-                    self._finish(job, jobmodel.CANCELLED,
-                                 error="cancelled by client", queued=True)
-                    return
-                if self._draining:
-                    self._finish(job, jobmodel.CANCELLED,
-                                 error="coordinator shutting down",
+                    return  # cancelled while queued
+                if core.draining:
+                    core._finish(job, jobmodel.CANCELLED,
+                                 error="server shutting down",
                                  queued=True)
                     return
                 node_url = self.route(job.key, avoid=avoid)
@@ -448,7 +291,7 @@ class FleetCoordinator:
                     avoid = []
                     node_url = self.route(job.key)
                 if node_url is None:
-                    self._finish(job, jobmodel.FAILED,
+                    core._finish(job, jobmodel.FAILED,
                                  error="no live worker nodes",
                                  queued=True)
                     return
@@ -462,27 +305,29 @@ class FleetCoordinator:
                     avoid = [node_url]
                     continue
                 except asyncio.TimeoutError:
-                    self._finish(job, jobmodel.FAILED,
+                    core._finish(job, jobmodel.FAILED,
                                  error=f"timeout after "
-                                       f"{self.config.job_timeout:.0f}s")
+                                       f"{core.config.job_timeout:.0f}s")
                     return
                 self._fold(job, record)
-                if job.state == jobmodel.DONE and self.store is not None:
+                if job.state == jobmodel.DONE and core.store is not None:
                     await asyncio.get_running_loop().run_in_executor(
-                        None, self.store.put, job.key, job.result)
+                        None, core.store.put, job.key, job.result)
                 return
         except asyncio.CancelledError:
             if not job.terminal:
-                self._finish(job, jobmodel.FAILED,
+                core._finish(job, jobmodel.FAILED,
                              error="aborted by coordinator shutdown",
                              queued=job.state == jobmodel.QUEUED)
             raise
         except Exception as exc:  # defensive: a dispatch bug must not
             # leave the job spinning forever
             if not job.terminal:
-                self._finish(job, jobmodel.FAILED,
+                core._finish(job, jobmodel.FAILED,
                              error=f"{type(exc).__name__}: {exc}",
                              queued=job.state == jobmodel.QUEUED)
+        finally:
+            self._node_of.pop(job.id, None)
 
     async def _forward_and_wait(self, job: Job, node: WorkerNode,
                                 deadline: float) -> Dict:
@@ -495,11 +340,7 @@ class FleetCoordinator:
         headers = {"X-Client": f"fleet:{job.client}"}
         node.outstanding += 1
         self._node_of[job.id] = node.url
-        was_queued = job.state == jobmodel.QUEUED
-        if was_queued:
-            self._queued -= 1
-            self._running += 1
-        job.state = jobmodel.RUNNING
+        self.core._begin(job)
         if job.started_at is None:
             job.started_at = time.time()
         try:
@@ -539,13 +380,13 @@ class FleetCoordinator:
         finally:
             node.outstanding -= 1
             # Leave _node_of as the last node that held the job; the
-            # next forward overwrites it and _finish clears it.
+            # next forward overwrites it and _dispatch clears it.
 
     async def _forward(self, job: Job, node: WorkerNode,
                        headers: Dict[str, str],
                        deadline: float) -> Dict:
         """POST the job to a worker, riding out transient sheds."""
-        payload = request_payload(job.request)
+        payload = jobmodel.request_payload(job.request)
         config = self.config
         while True:
             if time.monotonic() >= deadline:
@@ -569,9 +410,9 @@ class FleetCoordinator:
                 hint = data.get("retry_after")
                 pause = min(float(hint) if isinstance(
                     hint, (int, float)) else 1.0,
-                    float(config.max_retry_after))
+                    float(self.core.config.max_retry_after))
                 await asyncio.sleep(max(0.05, pause))
-                if job.cancel_requested or self._draining:
+                if job.cancel_requested or self.core.draining:
                     raise NodeLost("gave up re-offering during "
                                    "cancel/drain")
                 if not node.alive:
@@ -593,28 +434,18 @@ class FleetCoordinator:
         except TransportError:
             pass  # the poll loop will classify the node's fate
 
-    # -- terminal bookkeeping --------------------------------------------
-
     def _requeue(self, job: Job, node_url: str, reason: str) -> bool:
-        """Fold a node loss into the retry budget.  True to retry."""
+        """Fold a node loss into the core's retry budget.  True to
+        retry."""
         self.registry.count("fleet_node_losses_total")
         if job.cancel_requested:
-            self._finish(job, jobmodel.CANCELLED,
-                         error="cancelled by client")
+            self.core._finish(job, jobmodel.CANCELLED,
+                              error="cancelled by client")
             return False
-        if job.attempts > self.config.retry_budget:
-            self._finish(
-                job, jobmodel.FAILED,
-                error=f"node lost ({reason}); retry budget "
-                      f"({self.config.retry_budget}) exhausted after "
-                      f"{job.attempts} attempt(s)")
+        if not self.core._requeue(job, f"node lost ({reason})",
+                                  f"lost node {node_url}"):
             return False
         self.registry.count("fleet_requeues_total")
-        job.notes.append(
-            f"attempt {job.attempts} lost node {node_url}; requeued")
-        job.state = jobmodel.QUEUED
-        self._running -= 1
-        self._queued += 1
         return True
 
     def _fold(self, job: Job, record: Dict) -> None:
@@ -624,51 +455,22 @@ class FleetCoordinator:
         if state == jobmodel.DONE:
             result = record.get("result")
             if not isinstance(result, dict):
-                self._finish(job, jobmodel.FAILED,
-                             error=f"{node_url} reported done without a "
-                                   f"result payload")
+                self.core._finish(job, jobmodel.FAILED,
+                                  error=f"{node_url} reported done "
+                                        f"without a result payload")
                 return
             if node_url in self.nodes:
                 self.nodes[node_url].jobs_done += 1
-            self._finish(job, jobmodel.DONE, result=result)
+            self.core._finish(job, jobmodel.DONE, result=result)
             self.registry.sample(
                 "fleet_job_latency_ms",
                 max(1, round((job.finished_at - job.submitted_at)
                              * 1000.0)))
             return
         if state == jobmodel.CANCELLED:
-            self._finish(job, jobmodel.CANCELLED,
-                         error=record.get("error") or "cancelled")
+            self.core._finish(job, jobmodel.CANCELLED,
+                              error=record.get("error") or "cancelled")
             return
-        self._finish(job, jobmodel.FAILED,
-                     error=record.get("error")
-                     or f"failed on {node_url}")
-
-    def _finish(self, job: Job, state: str, result: Optional[Dict] = None,
-                error: Optional[str] = None, queued: bool = False,
-                account_client: bool = True) -> None:
-        """Move a job to a terminal state exactly once (same contract as
-        the scheduler's ``_finish``)."""
-        if job.terminal:
-            return
-        was_running = job.state == jobmodel.RUNNING
-        job.state = state
-        job.result = result
-        job.error = error
-        job.finished_at = time.time()
-        if job.started_at is not None:
-            job.latency_ms = (job.finished_at - job.submitted_at) * 1000.0
-        if queued:
-            self._queued -= 1
-        elif was_running:
-            self._running -= 1
-        if self._by_key.get(job.key) is job:
-            del self._by_key[job.key]
-        if account_client and (queued or was_running):
-            active = self._client_active.get(job.client, 0)
-            if active <= 1:
-                self._client_active.pop(job.client, None)
-            else:
-                self._client_active[job.client] = active - 1
-        self._node_of.pop(job.id, None)
-        self.registry.count(f"fleet_jobs_{state}_total")
+        self.core._finish(job, jobmodel.FAILED,
+                          error=record.get("error")
+                          or f"failed on {node_url}")

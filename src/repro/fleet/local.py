@@ -5,9 +5,10 @@ tests all need a real multi-process fleet - real sockets, real
 heartbeats, real node deaths - without any deployment machinery.  This
 module provides it:
 
-* the coordinator runs in-process on a daemon thread
-  (:class:`repro.fleet.server.EmbeddedCoordinator`), so tests can reach
-  into its state and metrics directly;
+* the coordinator - the service stack over a ring backend - runs
+  in-process on a daemon thread (:class:`repro.service.server
+  .EmbeddedServer`), so tests can reach into its state and metrics
+  directly;
 * each worker is a separate **spawn**-context process running
   :func:`repro.fleet.worker.worker_main` (spawn, not fork: the parent
   holds live asyncio threads, and forking a threaded process is exactly
@@ -24,16 +25,21 @@ module provides it:
 
 from __future__ import annotations
 
-import http.client
-import json
 import multiprocessing
 import socket
 import tempfile
 import time
 from typing import Callable, List, Optional
 
-from repro.fleet.server import EmbeddedCoordinator, build_coordinator
+from repro.fleet.coordinator import (
+    COORDINATOR_BACKLOG,
+    COORDINATOR_QUOTA,
+    FleetConfig,
+    FleetCoordinator,
+)
 from repro.fleet.worker import worker_main
+from repro.service.client import ServiceClient
+from repro.service.server import EmbeddedServer, build_scheduler
 
 
 def _free_port(host: str = "127.0.0.1") -> int:
@@ -41,26 +47,6 @@ def _free_port(host: str = "127.0.0.1") -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
         probe.bind((host, 0))
         return probe.getsockname()[1]
-
-
-def _get_json(url: str, path: str, timeout: float = 5.0) -> Optional[dict]:
-    from urllib.parse import urlsplit
-
-    split = urlsplit(url)
-    connection = http.client.HTTPConnection(
-        split.hostname or "127.0.0.1", split.port or 80, timeout=timeout)
-    try:
-        connection.request("GET", path)
-        response = connection.getresponse()
-        raw = response.read()
-        if response.status != 200:
-            return None
-        return json.loads(raw.decode("utf-8"))
-    except (ConnectionError, OSError, ValueError,
-            http.client.HTTPException):
-        return None
-    finally:
-        connection.close()
 
 
 class LocalFleet:
@@ -82,11 +68,11 @@ class LocalFleet:
         self.worker_count = workers
         self.server_workers = server_workers
         self.host = host
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
+        self.ring_config = FleetConfig(
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_misses=heartbeat_misses,
+            spill_threshold=spill_threshold, poll_interval=poll_interval)
         self.retry_budget = retry_budget
-        self.spill_threshold = spill_threshold
-        self.poll_interval = poll_interval
         self.job_timeout = job_timeout
         self.worker_drain_timeout = worker_drain_timeout
         self.cell_delay_ms = cell_delay_ms
@@ -94,25 +80,26 @@ class LocalFleet:
         self.url: Optional[str] = None
         self.worker_urls: List[str] = []
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
-        self._embedded: Optional[EmbeddedCoordinator] = None
+        self._embedded: Optional[EmbeddedServer] = None
         self._processes: List[multiprocessing.process.BaseProcess] = []
         self._ports: List[int] = []
 
     # -- lifecycle -------------------------------------------------------
 
+    def _boot_coordinator(self, store_dir: str,
+                          workers: List[str]) -> None:
+        scheduler = build_scheduler(
+            backlog=COORDINATOR_BACKLOG, quota=COORDINATOR_QUOTA,
+            job_timeout=self.job_timeout, retry_budget=self.retry_budget,
+            store_dir=store_dir,
+            backend=FleetCoordinator(self.ring_config, workers))
+        self._embedded = EmbeddedServer(scheduler, host=self.host)
+        self.url = self._embedded.start()
+
     def start(self, timeout: float = 120.0) -> str:
         """Boot coordinator + workers; returns the coordinator URL."""
         self._tmp = tempfile.TemporaryDirectory(prefix="wsrs-fleet-")
-        coordinator = build_coordinator(
-            store_dir=f"{self._tmp.name}/coordinator",
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_misses=self.heartbeat_misses,
-            retry_budget=self.retry_budget,
-            spill_threshold=self.spill_threshold,
-            poll_interval=self.poll_interval,
-            job_timeout=self.job_timeout)
-        self._embedded = EmbeddedCoordinator(coordinator, host=self.host)
-        self.url = self._embedded.start()
+        self._boot_coordinator(f"{self._tmp.name}/coordinator", [])
         context = multiprocessing.get_context("spawn")
         self._ports = [_free_port(self.host)
                        for _ in range(self.worker_count)]
@@ -133,10 +120,10 @@ class LocalFleet:
         return self.url
 
     def _await_alive(self, count: int, timeout: float) -> None:
+        health = ServiceClient(self.url, client_id="local-fleet")
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            summary = _get_json(self.url, "/v1/fleet")
-            if summary is not None and summary.get("alive", 0) >= count:
+            if health.healthz()["fleet"]["alive"] >= count:
                 return
             time.sleep(0.1)
         raise RuntimeError(
@@ -174,26 +161,18 @@ class LocalFleet:
         live = [url for url, process
                 in zip(self.worker_urls, self._processes)
                 if process.is_alive()]
-        coordinator = build_coordinator(
-            workers=live, store_dir=store_dir,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_misses=self.heartbeat_misses,
-            retry_budget=self.retry_budget,
-            spill_threshold=self.spill_threshold,
-            poll_interval=self.poll_interval,
-            job_timeout=self.job_timeout)
-        self._embedded = EmbeddedCoordinator(coordinator, host=self.host)
-        self.url = self._embedded.start()
+        self._boot_coordinator(store_dir, live)
         self._await_alive(len(live), 30.0)
         self.announce(f"fleet: coordinator restarted at {self.url} "
                       f"({'fresh' if fresh_store else 'replayed'} store)")
         return self.url
 
     @property
-    def coordinator(self):
-        """The live coordinator object (tests reach into its state)."""
+    def coordinator(self) -> FleetCoordinator:
+        """The live coordinator's ring backend (tests reach into its
+        state; its ``registry`` is the coordinator's)."""
         assert self._embedded is not None
-        return self._embedded.coordinator
+        return self._embedded.scheduler.backend
 
     def stop(self) -> None:
         for process in self._processes:

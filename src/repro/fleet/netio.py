@@ -10,8 +10,8 @@ into one exception type so callers can treat "the node is unreachable"
 uniformly.
 
 It deliberately implements only what the fleet needs - talking to
-:mod:`repro.service.server` and :mod:`repro.fleet.server` instances on
-the local network - not a general HTTP client.
+:mod:`repro.service.server` instances on the local network - not a
+general HTTP client.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 A worker node *is* the PR-5 service - scheduler, process pool,
 worker-local result store, the full ``/v1/jobs`` + ``/healthz`` +
-``/metrics`` surface - started on a fixed port and announced to the
-coordinator via ``POST /v1/fleet/register``.  There is no other
+``/metrics`` surface - started on a fixed port by
+:func:`repro.service.server.serve` and announced to the coordinator via
+``POST /v1/fleet/register``.  There is no other
 worker-side fleet logic: liveness is the coordinator's pull-model
 heartbeat against the worker's existing ``/healthz``, and "leaving the
 fleet" is simply dying or draining (a draining worker answers
@@ -26,8 +27,8 @@ from typing import Callable, Optional
 from urllib.parse import urlsplit
 
 from repro.experiments.runner import RunResult, RunSpec, execute
+from repro.service.scheduler import Scheduler
 from repro.service.server import build_scheduler, serve
-from repro.service.store import DEFAULT_TTL_SECONDS
 
 
 def delayed_execute(delay_seconds: float, spec: RunSpec) -> RunResult:
@@ -81,21 +82,23 @@ def register_with_coordinator(coordinator_url: str, worker_url: str,
     return False
 
 
-def serve_worker(host: str = "127.0.0.1", port: int = 0,
-                 coordinator_url: Optional[str] = None,
-                 workers: int = 2, backlog: int = 64,
-                 job_timeout: float = 600.0, retry_budget: int = 2,
-                 drain_timeout: float = 30.0,
-                 store_dir: Optional[str] = None,
-                 ttl_seconds: Optional[float] = DEFAULT_TTL_SECONDS,
-                 cell_delay_ms: float = 0.0,
+def delay_runner(cell_delay_ms: float) -> Optional[Callable]:
+    """The cell runner for a per-cell service-time floor (None = the
+    plain simulator); see :func:`delayed_execute`."""
+    if cell_delay_ms <= 0:
+        return None
+    return functools.partial(delayed_execute, cell_delay_ms / 1000.0)
+
+
+def serve_worker(scheduler: Scheduler, host: str = "127.0.0.1",
+                 port: int = 0, coordinator_url: Optional[str] = None,
                  announce: Callable[[str], None] = print) -> int:
-    """Run one worker node until SIGINT/SIGTERM.
+    """Run one worker node - :func:`repro.service.server.serve` plus
+    registration - until SIGINT/SIGTERM.
 
     With ``coordinator_url`` set, the worker registers itself before
     serving; ``port`` must then be a real port (the coordinator needs a
-    stable address to route and probe).  ``cell_delay_ms`` injects the
-    bench's per-cell service-time floor (see :func:`delayed_execute`).
+    stable address to route and probe).
     """
     if coordinator_url is not None:
         if port == 0:
@@ -109,17 +112,6 @@ def serve_worker(host: str = "127.0.0.1", port: int = 0,
         else:
             announce(f"wsrs fleet worker could not register with "
                      f"{coordinator_url}; serving unregistered")
-    cell_runner = None
-    if cell_delay_ms > 0:
-        cell_runner = functools.partial(delayed_execute,
-                                        cell_delay_ms / 1000.0)
-    scheduler = build_scheduler(workers=workers, backlog=backlog,
-                                job_timeout=job_timeout,
-                                retry_budget=retry_budget,
-                                drain_timeout=drain_timeout,
-                                store_dir=store_dir,
-                                ttl_seconds=ttl_seconds,
-                                cell_runner=cell_runner)
     return serve(host=host, port=port, scheduler=scheduler,
                  announce=announce)
 
@@ -129,9 +121,9 @@ def worker_main(host: str, port: int, coordinator_url: Optional[str],
                 drain_timeout: float = 30.0,
                 cell_delay_ms: float = 0.0) -> int:
     """Picklable spawn target for local fleet worker processes."""
-    return serve_worker(host=host, port=port,
+    scheduler = build_scheduler(workers=workers, store_dir=store_dir,
+                                drain_timeout=drain_timeout,
+                                cell_runner=delay_runner(cell_delay_ms))
+    return serve_worker(scheduler, host=host, port=port,
                         coordinator_url=coordinator_url,
-                        workers=workers, store_dir=store_dir,
-                        drain_timeout=drain_timeout,
-                        cell_delay_ms=cell_delay_ms,
                         announce=lambda _message: None)

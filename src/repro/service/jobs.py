@@ -290,6 +290,31 @@ def canonical_form(request: JobRequest) -> Dict:
     return form
 
 
+def request_payload(request: JobRequest) -> Dict:
+    """Reconstruct the JSON submission body of a validated request.
+
+    A fleet coordinator forwards this *canonical* form, so the worker
+    derives the same idempotency key the coordinator routed on - which
+    is what makes the worker's local result cache line up with ring
+    ownership.
+    """
+    if request.kind == "explore":
+        assert request.lattice is not None
+        return {"kind": "explore",
+                "lattice": json.loads(request.lattice),
+                "budget": request.budget,
+                "prefilter": request.prefilter,
+                "rank": request.rank,
+                "measure": request.measure, "warmup": request.warmup,
+                "seed": request.seed, "priority": request.priority}
+    return {"kind": request.kind,
+            "benchmarks": list(request.benchmarks),
+            "configs": list(request.configs),
+            "measure": request.measure, "warmup": request.warmup,
+            "seed": request.seed, "observe": request.observe,
+            "priority": request.priority}
+
+
 def job_key(request: JobRequest) -> str:
     """The idempotency key: a digest of the canonical request form."""
     canonical = json.dumps(canonical_form(request), sort_keys=True,

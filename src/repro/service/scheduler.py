@@ -1,33 +1,40 @@
-"""Async job scheduler: admission control over the process-pool engine.
+"""Async job scheduler: one admission core over two dispatch backends.
 
-The scheduler is the service's brain.  It owns a priority backlog of
-validated jobs, a ``ProcessPoolExecutor`` (the same engine
-:func:`repro.experiments.runner.execute_many` fans matrices over) and
-the bookkeeping that keeps a multi-client deployment healthy:
+The scheduler is the brain of both the single-host service and the
+fleet coordinator.  :class:`Scheduler` owns every admission decision
+and the job table; a :class:`Backend` owns only how an admitted job
+runs:
 
 * **Admission control** - requests are validated, then checked against
   the *result store* (a completed identical job short-circuits without
-  touching the pool), *in-flight dedup* (an identical queued/running
+  touching a backend), *in-flight dedup* (an identical queued/running
   job absorbs the submission), the *per-client quota* and the *bounded
   backlog*.  Quota/backlog rejections are load sheds: HTTP 429 with a
-  ``Retry-After`` estimated from the observed job-latency histogram and
-  current backlog - the client backoff honours it, turning overload
-  into queueing delay instead of collapse (cf. Carroll & Lin's queuing
-  model of service stations: a finite buffer plus calibrated retry is
-  what keeps the station stable past saturation).
-* **Execution** - one asyncio worker task per pool slot pulls the
-  lowest-``(priority, seq)`` job and runs its cells through the pool,
-  checking the job deadline and cancellation flag between cells.
-* **Failure containment** - a worker-process crash surfaces as
-  ``BrokenProcessPool``; the pool is rebuilt and the job requeued with
-  a bounded retry budget.  Per-job timeouts fail the job (an
-  already-running cell cannot be interrupted mid-simulation; its slot
-  frees when the cell finishes, which the timeout bounds indirectly).
+  ``Retry-After`` estimated from the observed job-latency histogram,
+  current backlog and the backend's slot count - the client backoff
+  honours it, turning overload into queueing delay instead of collapse
+  (cf. Carroll & Lin's queuing model of service stations: a finite
+  buffer plus calibrated retry is what keeps the station stable past
+  saturation).
+* **Execution** - :class:`PoolBackend` runs one asyncio worker task per
+  pool slot; each pulls the lowest-``(priority, seq)`` job and runs its
+  cells through a ``ProcessPoolExecutor`` (the same engine
+  :func:`repro.experiments.runner.execute_many` fans matrices over),
+  checking the job deadline and cancellation flag between cells.  The
+  fleet's ring backend (:class:`repro.fleet.coordinator
+  .FleetCoordinator`) forwards each job to a worker node instead.
+* **Failure containment** - a lost attempt (a pool-process crash
+  surfacing as ``BrokenProcessPool``, or a fleet node dying under the
+  job) is requeued through :meth:`Scheduler._requeue` within a bounded
+  retry budget.  Per-job timeouts fail the job (an already-running
+  cell cannot be interrupted mid-simulation; its slot frees when the
+  cell finishes, which the timeout bounds indirectly).
 * **Graceful drain** - :meth:`Scheduler.shutdown` stops admission,
   lets running jobs finish within ``drain_timeout``, cancels the
-  backlog, and tears the pool down with the same
-  :func:`~repro.experiments.runner.shutdown_pool` helper the CLI's
-  Ctrl-C path uses, so no worker process is ever orphaned.
+  backlog, then stops the backend; the pool backend tears its pool
+  down with the same :func:`~repro.experiments.runner.shutdown_pool`
+  helper the CLI's Ctrl-C path uses, so no worker process is ever
+  orphaned.
 
 All counters and histograms live in a PR-4
 :class:`~repro.obs.registry.ObsRegistry`; :func:`prometheus_text`
@@ -61,7 +68,7 @@ from repro.service.store import ResultStore
 class SchedulerConfig:
     """Deployment knobs of one scheduler instance."""
 
-    #: Pool worker processes == concurrently running jobs.
+    #: Pool worker processes == concurrently running jobs (pool backend).
     workers: int = 2
     #: Queued (not yet running) jobs admitted before load shedding.
     max_backlog: int = 64
@@ -97,51 +104,83 @@ class Admission:
         return self.job is not None
 
 
+class Backend:
+    """How admitted jobs run; everything else belongs to the core.
+
+    The core calls :meth:`dispatch` once per admitted job; a backend
+    that requeues a lost attempt (through :meth:`Scheduler._requeue`)
+    re-dispatches it itself.  Backends move jobs from queued to running
+    with :meth:`Scheduler._begin` and to a terminal state with
+    :meth:`Scheduler._finish`, so the core's counters stay the single
+    source of truth.
+    """
+
+    #: Prefix of the job metrics the core records for this backend
+    #: (``jobs_*_total``, ``job_latency_ms``, ``queue_depth`` ...).
+    prefix = ""
+    #: Counter bumped when the result store short-circuits a submission.
+    store_hit_counter = "result_cache_hits_total"
+    #: Fronts worker nodes: the HTTP front mounts the ``/v1/fleet``
+    #: routes and adds the holding node to job records.
+    fleet = False
+
+    def bind(self, core: "Scheduler") -> None:
+        self.core = core
+        self.registry = core.registry
+
+    @property
+    def slots(self) -> int:
+        """Jobs that can run at once: the Retry-After wave width."""
+        raise NotImplementedError
+
+    async def start(self) -> None:
+        """Start the backend's long-lived tasks."""
+
+    def dispatch(self, job: Job) -> None:
+        raise NotImplementedError
+
+    async def stop(self) -> None:
+        """Reap every task and resource (drain already ran)."""
+
+    def gauges(self) -> Dict[str, float]:
+        """Backend-specific live gauges for ``/metrics``."""
+        return {}
+
+
 class Scheduler:
-    """Admission control + priority backlog + pool execution."""
+    """Admission control + job table over one dispatch backend."""
 
     def __init__(self, config: Optional[SchedulerConfig] = None,
                  store: Optional[ResultStore] = None,
                  registry: Optional[ObsRegistry] = None,
                  cell_runner: Callable[[RunSpec], RunResult] = execute,
-                 ) -> None:
+                 backend: Optional[Backend] = None) -> None:
         self.config = config or SchedulerConfig()
         if self.config.workers < 1:
             raise ValueError("SchedulerConfig.workers must be >= 1")
         self.store = store
         self.registry = registry or ObsRegistry()
         self.jobs: Dict[str, Job] = {}
-        self._cell_runner = cell_runner
         self._by_key: Dict[str, Job] = {}
         self._client_active: Dict[str, int] = {}
-        self._queue: "asyncio.PriorityQueue" = asyncio.PriorityQueue()
         self._queued = 0
         self._running = 0
-        self._seq = 0
         self._submissions = 0
+        self._sweep: Optional["asyncio.Future"] = None
         self._accepting = True
         self._draining = False
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._workers: List["asyncio.Task"] = []
         self.started_at = time.time()
+        self.backend = (backend if backend is not None
+                        else PoolBackend(cell_runner))
+        self.backend.bind(self)
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        """Create the pool and the per-slot worker tasks."""
-        if self._pool is None:
-            self._pool = self._make_pool()
-        if not self._workers:
-            self._workers = [
-                asyncio.get_running_loop().create_task(
-                    self._worker_loop(), name=f"wsrs-job-worker-{index}")
-                for index in range(self.config.workers)]
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.config.workers)
+        await self.backend.start()
 
     async def shutdown(self, drain: bool = True) -> None:
-        """Stop admission, drain in-flight jobs, reap every worker."""
+        """Stop admission, drain in-flight jobs, stop the backend."""
         self._accepting = False
         self._draining = True
         if drain:
@@ -152,16 +191,7 @@ class Scheduler:
             if job.state == jobmodel.QUEUED:
                 self._finish(job, jobmodel.CANCELLED,
                              error="server shutting down", queued=True)
-        for task in self._workers:
-            task.cancel()
-        if self._workers:
-            await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
-        if self._pool is not None:
-            # Same orderly teardown the CLI's Ctrl-C path uses: queued
-            # cells cancelled, running workers joined, nothing orphaned.
-            shutdown_pool(self._pool)
-            self._pool = None
+        await self.backend.stop()
         if self.store is not None:
             # Disk-backed eviction scans the store directory; keep the
             # event loop responsive by pushing it to a worker thread.
@@ -177,7 +207,7 @@ class Scheduler:
         self._submissions += 1
         if (self.store is not None and self.config.evict_every
                 and self._submissions % self.config.evict_every == 0):
-            self.store.evict_expired()
+            self._sweep_store()
         if not self._accepting:
             self.registry.count("admission_shed_total")
             return Admission(status=503, error="server is draining",
@@ -188,12 +218,15 @@ class Scheduler:
             self.registry.count("jobs_rejected_total")
             return Admission(status=400, error=str(exc))
         key = jobmodel.job_key(request)
+        prefix = self.backend.prefix
 
-        # Completed-result short circuit: identical work already done.
+        # Completed-result short circuit: identical work already done
+        # (on a coordinator, possibly anywhere in the fleet and before
+        # a restart).
         if self.store is not None:
             stored = self.store.get(key)
             if stored is not None:
-                self.registry.count("result_cache_hits_total")
+                self.registry.count(self.backend.store_hit_counter)
                 job = self._attach(request, key, client)
                 job.cached = True
                 job.started_at = job.submitted_at
@@ -231,11 +264,21 @@ class Scheduler:
         job = self._attach(request, key, client)
         self._by_key[key] = job
         self._client_active[client] = active + 1
-        self._enqueue(job)
-        self.registry.count("jobs_submitted_total")
-        self.registry.sample("queue_depth", self._queued)
-        self.registry.sample("cells_per_job", request.num_cells)
+        self._queued += 1
+        self.registry.count(f"{prefix}jobs_submitted_total")
+        self.registry.sample(f"{prefix}queue_depth", self._queued)
+        self.registry.sample(f"{prefix}cells_per_job", request.num_cells)
+        self.backend.dispatch(job)
         return Admission(status=202, job=job)
+
+    def _sweep_store(self) -> None:
+        """Start the store's bulk eviction on a worker thread, at most
+        one sweep at a time: it reads every record file, and ``submit``
+        runs on the event loop that answers every other request."""
+        if self._sweep is not None and not self._sweep.done():
+            return
+        self._sweep = asyncio.get_running_loop().run_in_executor(
+            None, self.store.evict_expired)
 
     def _attach(self, request: jobmodel.JobRequest, key: str,
                 client: str) -> Job:
@@ -244,20 +287,15 @@ class Scheduler:
         self.jobs[job.id] = job
         return job
 
-    def _enqueue(self, job: Job) -> None:
-        job.state = jobmodel.QUEUED
-        self._seq += 1
-        self._queued += 1
-        self._queue.put_nowait((job.priority, self._seq, job))
-
     def retry_after_hint(self) -> int:
         """Seconds a shed client should wait: the estimated time for the
         backlog to drain one slot, from the observed latency mean."""
-        latency = self.registry.histograms.get("job_latency_ms")
+        latency = self.registry.histograms.get(
+            f"{self.backend.prefix}job_latency_ms")
         mean_ms = latency.mean if latency is not None else 0.0
         if mean_ms <= 0:
             return self.config.min_retry_after
-        waves = math.ceil((self._queued + 1) / self.config.workers)
+        waves = math.ceil((self._queued + 1) / self.backend.slots)
         estimate = math.ceil(waves * mean_ms / 1000.0)
         return max(self.config.min_retry_after,
                    min(self.config.max_retry_after, estimate))
@@ -270,7 +308,8 @@ class Scheduler:
     def cancel(self, job_id: str) -> Optional[bool]:
         """Cancel a job.  True if the cancel took hold (queued job
         removed, or running job flagged to stop at the next cell
-        boundary), False if already terminal, None if unknown."""
+        boundary or forwarded to its node), False if already terminal,
+        None if unknown."""
         job = self.jobs.get(job_id)
         if job is None:
             return None
@@ -295,6 +334,10 @@ class Scheduler:
     def accepting(self) -> bool:
         return self._accepting
 
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
     def counts(self) -> Dict[str, int]:
         states: Dict[str, int] = {state: 0 for state in (
             jobmodel.QUEUED, jobmodel.RUNNING, jobmodel.DONE,
@@ -303,97 +346,29 @@ class Scheduler:
             states[job.state] = states.get(job.state, 0) + 1
         return states
 
-    # -- execution -------------------------------------------------------
+    # -- job state transitions (called by backends) ----------------------
 
-    async def _worker_loop(self) -> None:
-        while True:
-            _, _, job = await self._queue.get()
-            if job.state != jobmodel.QUEUED:
-                continue  # tombstone of a cancelled queued job
-            if self._draining:
-                self._finish(job, jobmodel.CANCELLED,
-                             error="server shutting down", queued=True)
-                continue
-            await self._run_job(job)
-
-    async def _run_job(self, job: Job) -> None:
-        loop = asyncio.get_running_loop()
+    def _begin(self, job: Job) -> None:
+        """A queued job takes a run slot."""
         self._queued -= 1
         self._running += 1
         job.state = jobmodel.RUNNING
-        job.started_at = time.time()
-        job.attempts += 1
-        started = time.monotonic()
-        deadline = started + self.config.job_timeout
-        try:
-            results: List[RunResult] = []
-            for spec in jobmodel.cell_specs(job.request):
-                if job.cancel_requested:
-                    self._finish(job, jobmodel.CANCELLED,
-                                 error="cancelled mid-run")
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise asyncio.TimeoutError
-                future = loop.run_in_executor(
-                    self._pool, self._cell_runner, spec)
-                results.append(
-                    await asyncio.wait_for(future, timeout=remaining))
-            if job.cancel_requested:
-                self._finish(job, jobmodel.CANCELLED,
-                             error="cancelled mid-run")
-                return
-            payload = jobmodel.job_payload(job.request, results)
-            if job.request.kind == "explore":
-                from repro.explore.explorer import count_explore
 
-                count_explore(self.registry, payload)
-            if self.store is not None:
-                # put() is an atomic disk write; a worker thread keeps
-                # the event loop free while it lands.
-                await loop.run_in_executor(
-                    None, self.store.put, job.key, payload)
-            self._finish(job, jobmodel.DONE, result=payload)
-            self.registry.sample(
-                "job_latency_ms",
-                max(1, round((time.monotonic() - started) * 1000.0)))
-        except asyncio.CancelledError:
-            # Drain timeout expired with this job still running: record
-            # the truth and let the teardown proceed.
-            self._finish(job, jobmodel.FAILED,
-                         error="aborted by server shutdown")
-            raise
-        except asyncio.TimeoutError:
-            self._finish(job, jobmodel.FAILED,
-                         error=f"timeout after "
-                               f"{self.config.job_timeout:.0f}s")
-            self.registry.count("jobs_timeout_total")
-        except BrokenProcessPool:
-            self._handle_crash(job)
-        except Exception as exc:  # simulator raised: config/trace defect
-            self._finish(job, jobmodel.FAILED,
-                         error=f"{type(exc).__name__}: {exc}")
-
-    def _handle_crash(self, job: Job) -> None:
-        """A pool process died under this job: rebuild, then requeue
-        within the retry budget."""
-        self.registry.count("worker_crashes_total")
-        broken, self._pool = self._pool, self._make_pool()
-        if broken is not None:
-            broken.shutdown(wait=False)
+    def _requeue(self, job: Job, cause: str, lost: str) -> bool:
+        """Fold a lost attempt into the retry budget.  True when the job
+        is queued again (the backend re-dispatches it), False when the
+        budget is spent and the job failed with ``cause``."""
         if job.attempts > self.config.retry_budget:
             self._finish(job, jobmodel.FAILED,
-                         error=f"worker process crashed; retry budget "
+                         error=f"{cause}; retry budget "
                                f"({self.config.retry_budget}) exhausted "
                                f"after {job.attempts} attempt(s)")
-            return
-        self.registry.count("worker_crash_requeues_total")
-        job.notes.append(
-            f"attempt {job.attempts} crashed a worker; requeued")
+            return False
+        job.notes.append(f"attempt {job.attempts} {lost}; requeued")
+        job.state = jobmodel.QUEUED
         self._running -= 1
-        self._enqueue(job)
-
-    # -- terminal bookkeeping --------------------------------------------
+        self._queued += 1
+        return True
 
     def _finish(self, job: Job, state: str, result: Optional[Dict] = None,
                 error: Optional[str] = None, queued: bool = False,
@@ -422,7 +397,133 @@ class Scheduler:
                 self._client_active.pop(job.client, None)
             else:
                 self._client_active[job.client] = active - 1
-        self.registry.count(f"jobs_{state}_total")
+        self.registry.count(f"{self.backend.prefix}jobs_{state}_total")
+
+
+class PoolBackend(Backend):
+    """Run admitted jobs cell by cell on a local process pool."""
+
+    def __init__(self, cell_runner: Callable[[RunSpec], RunResult] = execute
+                 ) -> None:
+        self._cell_runner = cell_runner
+        self._queue: "asyncio.PriorityQueue" = asyncio.PriorityQueue()
+        self._seq = 0
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._workers: List["asyncio.Task"] = []
+
+    @property
+    def slots(self) -> int:
+        return self.core.config.workers
+
+    async def start(self) -> None:
+        """Create the pool and the per-slot worker tasks."""
+        if self._pool is None:
+            self._pool = self._make_pool()
+        if not self._workers:
+            self._workers = [
+                asyncio.get_running_loop().create_task(
+                    self._worker_loop(), name=f"wsrs-job-worker-{index}")
+                for index in range(self.slots)]
+
+    def _make_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.slots)
+
+    def dispatch(self, job: Job) -> None:
+        self._seq += 1
+        self._queue.put_nowait((job.priority, self._seq, job))
+
+    async def stop(self) -> None:
+        for task in self._workers:
+            task.cancel()
+        if self._workers:
+            await asyncio.gather(*self._workers, return_exceptions=True)
+        self._workers = []
+        if self._pool is not None:
+            # Same orderly teardown the CLI's Ctrl-C path uses: queued
+            # cells cancelled, running workers joined, nothing orphaned.
+            shutdown_pool(self._pool)
+            self._pool = None
+
+    async def _worker_loop(self) -> None:
+        while True:
+            _, _, job = await self._queue.get()
+            if job.state != jobmodel.QUEUED:
+                continue  # tombstone of a cancelled queued job
+            if self.core.draining:
+                self.core._finish(job, jobmodel.CANCELLED,
+                                  error="server shutting down",
+                                  queued=True)
+                continue
+            await self._run_job(job)
+
+    async def _run_job(self, job: Job) -> None:
+        core = self.core
+        loop = asyncio.get_running_loop()
+        core._begin(job)
+        job.started_at = time.time()
+        job.attempts += 1
+        started = time.monotonic()
+        deadline = started + core.config.job_timeout
+        try:
+            results: List[RunResult] = []
+            for spec in jobmodel.cell_specs(job.request):
+                if job.cancel_requested:
+                    core._finish(job, jobmodel.CANCELLED,
+                                 error="cancelled mid-run")
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise asyncio.TimeoutError
+                future = loop.run_in_executor(
+                    self._pool, self._cell_runner, spec)
+                results.append(
+                    await asyncio.wait_for(future, timeout=remaining))
+            if job.cancel_requested:
+                core._finish(job, jobmodel.CANCELLED,
+                             error="cancelled mid-run")
+                return
+            payload = jobmodel.job_payload(job.request, results)
+            if job.request.kind == "explore":
+                from repro.explore.explorer import count_explore
+
+                count_explore(self.registry, payload)
+            if core.store is not None:
+                # put() is an atomic disk write; a worker thread keeps
+                # the event loop free while it lands.
+                await loop.run_in_executor(
+                    None, core.store.put, job.key, payload)
+            core._finish(job, jobmodel.DONE, result=payload)
+            self.registry.sample(
+                "job_latency_ms",
+                max(1, round((time.monotonic() - started) * 1000.0)))
+        except asyncio.CancelledError:
+            # Drain timeout expired with this job still running: record
+            # the truth and let the teardown proceed.
+            core._finish(job, jobmodel.FAILED,
+                         error="aborted by server shutdown")
+            raise
+        except asyncio.TimeoutError:
+            core._finish(job, jobmodel.FAILED,
+                         error=f"timeout after "
+                               f"{core.config.job_timeout:.0f}s")
+            self.registry.count("jobs_timeout_total")
+        except BrokenProcessPool:
+            self._handle_crash(job)
+        except Exception as exc:  # simulator raised: config/trace defect
+            core._finish(job, jobmodel.FAILED,
+                         error=f"{type(exc).__name__}: {exc}")
+
+    def _handle_crash(self, job: Job) -> None:
+        """A pool process died under this job: rebuild, then requeue
+        within the retry budget."""
+        self.registry.count("worker_crashes_total")
+        broken, self._pool = self._pool, self._make_pool()
+        if broken is not None:
+            broken.shutdown(wait=False)
+        if self.core._requeue(job, "worker process crashed",
+                              "crashed a worker"):
+            self.registry.count("worker_crash_requeues_total")
+            self.dispatch(job)
 
 
 # -- Prometheus rendering ------------------------------------------------
@@ -444,16 +545,29 @@ def _histogram_quantile(bins: Dict[int, int], q: float) -> int:
     return value
 
 
-def render_prometheus(registry: ObsRegistry,
-                      gauges: Dict[str, float]) -> str:
-    """Render an ObsRegistry + live gauges as Prometheus text.
+def prometheus_text(scheduler: Scheduler) -> str:
+    """The scheduler's ``/metrics`` body: its ObsRegistry plus live
+    gauges, in Prometheus text format.
 
     Counters become ``wsrs_<name>`` counters; histograms become
     quantile-labelled gauges with ``_count``/``_sum`` companions - the
-    conventional scrape shape for precomputed summaries.  Shared by the
-    single-node scheduler and the fleet coordinator, whose ``fleet_*``
-    counter names render as ``wsrs_fleet_*``.
+    conventional scrape shape for precomputed summaries.  A fleet
+    coordinator's job metrics carry the ``fleet_`` prefix, so they
+    render as ``wsrs_fleet_*``.
     """
+    prefix = scheduler.backend.prefix
+    gauges: Dict[str, float] = {
+        f"wsrs_{prefix}queue_depth": scheduler.queued,
+        f"wsrs_{prefix}jobs_running": scheduler.running,
+        "wsrs_accepting": int(scheduler.accepting),
+        "wsrs_uptime_seconds": round(time.time() - scheduler.started_at, 3),
+    }
+    gauges.update(scheduler.backend.gauges())
+    if scheduler.store is not None:
+        gauges["wsrs_result_store_entries"] = len(scheduler.store)
+        gauges["wsrs_result_store_evictions_total"] = \
+            scheduler.store.evictions
+    registry = scheduler.registry
     lines: List[str] = []
     for name in sorted(registry.counters):
         metric = f"wsrs_{name}"
@@ -474,23 +588,3 @@ def render_prometheus(registry: ObsRegistry,
                     for value, weight in histogram.bins.items())
         lines.append(f"{metric}_sum {total}")
     return "\n".join(lines) + "\n"
-
-
-def store_gauges(store: Optional[ResultStore]) -> Dict[str, float]:
-    """The result-store gauges shared by scheduler and coordinator."""
-    if store is None:
-        return {}
-    return {"wsrs_result_store_entries": len(store),
-            "wsrs_result_store_evictions_total": store.evictions}
-
-
-def prometheus_text(scheduler: Scheduler) -> str:
-    """The single-node scheduler's ``/metrics`` body."""
-    gauges: Dict[str, float] = {
-        "wsrs_queue_depth": scheduler.queued,
-        "wsrs_jobs_running": scheduler.running,
-        "wsrs_accepting": int(scheduler.accepting),
-        "wsrs_uptime_seconds": round(time.time() - scheduler.started_at, 3),
-    }
-    gauges.update(store_gauges(scheduler.store))
-    return render_prometheus(scheduler.registry, gauges)

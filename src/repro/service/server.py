@@ -19,6 +19,19 @@ close``), JSON in and out.  The API surface:
                                scheduler's ObsRegistry
 =============================  =========================================
 
+When the scheduler's backend is a fleet coordinator's ring
+(:class:`repro.fleet.coordinator.FleetCoordinator`), the same front
+adds the fleet routes, the holding ``node`` to job records and a
+``fleet`` section to ``/healthz``:
+
+=============================  =========================================
+``POST /v1/fleet/register``    a worker announces itself
+                               (``{"url": "http://host:port"}``);
+                               idempotent, revives a dead node
+``GET /v1/fleet``              fleet topology: per-worker liveness,
+                               outstanding jobs, completions
+=============================  =========================================
+
 The client id used for quota accounting comes from the ``X-Client``
 header (falling back to a ``client`` field in the body, then
 ``anonymous``).
@@ -26,10 +39,11 @@ header (falling back to a ``client`` field in the body, then
 :func:`serve` is the blocking ``wsrs serve`` entry point: it installs
 SIGINT/SIGTERM handlers that stop the listener and *drain* the
 scheduler - running jobs finish, the backlog is cancelled, the worker
-pool is reaped - before the process exits.  :class:`EmbeddedServer`
-runs the same stack on a background thread with an OS-assigned port,
-which is how the load tester and the test-suite spin up a live server
-in-process.
+pool is reaped - before the process exits; ``wsrs fleet
+serve-coordinator`` runs it over a ring-backed scheduler.
+:class:`EmbeddedServer` runs the same stack on a background thread with
+an OS-assigned port, which is how the load tester, the local fleet
+harness and the test-suite spin up a live server in-process.
 """
 
 from __future__ import annotations
@@ -43,6 +57,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.service.jobs import Job
 from repro.service.scheduler import (
     Admission,
+    Backend,
     Scheduler,
     SchedulerConfig,
     prometheus_text,
@@ -74,9 +89,7 @@ async def _read_request(reader: asyncio.StreamReader
                         ) -> Tuple[str, str, Dict[str, str], bytes]:
     """Parse one HTTP/1.1 request into (method, target, headers, body).
 
-    Shared by the service server and the fleet coordinator server (which
-    routes asynchronously).  Raises :class:`_BadRequest` on malformed or
-    oversized input.
+    Raises :class:`_BadRequest` on malformed or oversized input.
     """
     try:
         request_line = await asyncio.wait_for(reader.readline(),
@@ -163,6 +176,7 @@ class ServiceServer:
     def route(self, method: str, target: str, headers: Dict[str, str],
               body: bytes) -> Tuple[int, object, Dict[str, str]]:
         path = target.split("?", 1)[0]
+        fleet = self.scheduler.backend.fleet
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}, {}
@@ -172,6 +186,14 @@ class ServiceServer:
                 return 405, {"error": "metrics is GET-only"}, {}
             return 200, prometheus_text(self.scheduler), \
                 {"Content-Type": "text/plain; version=0.0.4"}
+        if fleet and path == "/v1/fleet":
+            if method != "GET":
+                return 405, {"error": "fleet topology is GET-only"}, {}
+            return 200, self.scheduler.backend.fleet_summary(), {}
+        if fleet and path == "/v1/fleet/register":
+            if method != "POST":
+                return 405, {"error": "register workers with POST"}, {}
+            return self._register(body)
         if path == "/v1/jobs":
             if method != "POST":
                 return 405, {"error": "submit jobs with POST"}, {}
@@ -187,7 +209,7 @@ class ServiceServer:
 
     def _healthz(self) -> Dict:
         scheduler = self.scheduler
-        return {
+        record = {
             "status": "ok" if scheduler.accepting else "draining",
             "queued": scheduler.queued,
             "running": scheduler.running,
@@ -195,6 +217,24 @@ class ServiceServer:
             "store": (scheduler.store.stats()
                       if scheduler.store is not None else None),
         }
+        if scheduler.backend.fleet:
+            record["fleet"] = scheduler.backend.fleet_summary()
+        return record
+
+    def _register(self, body: bytes
+                  ) -> Tuple[int, object, Dict[str, str]]:
+        try:
+            payload = json.loads(body.decode("utf-8")) if body else {}
+        except (UnicodeDecodeError, ValueError):
+            return 400, {"error": "request body is not valid JSON"}, {}
+        url = payload.get("url") if isinstance(payload, dict) else None
+        if not isinstance(url, str) or not url.startswith("http"):
+            return 400, {"error": "register payload needs a worker "
+                                  "'url'"}, {}
+        backend = self.scheduler.backend
+        node = backend.add_worker(url)
+        return 200, {"registered": node.url,
+                     "workers": backend.alive_workers}, {}
 
     def _submit(self, headers: Dict[str, str], body: bytes
                 ) -> Tuple[int, object, Dict[str, str]]:
@@ -228,7 +268,10 @@ class ServiceServer:
         job: Optional[Job] = self.scheduler.get(job_id)
         if job is None:
             return 404, {"error": f"no job {job_id!r}"}, {}
-        return 200, job.as_dict(), {}
+        record = job.as_dict()
+        if self.scheduler.backend.fleet:
+            record["node"] = self.scheduler.backend.node_of(job_id)
+        return 200, record, {}
 
     def _cancel(self, job_id: str) -> Tuple[int, object, Dict[str, str]]:
         outcome = self.scheduler.cancel(job_id)
@@ -263,8 +306,14 @@ def build_scheduler(workers: int = 2, backlog: int = 64, quota: int = 16,
                     drain_timeout: float = 30.0,
                     store_dir: Optional[str] = None,
                     ttl_seconds: Optional[float] = DEFAULT_TTL_SECONDS,
-                    cell_runner: Optional[Callable] = None) -> Scheduler:
-    """Assemble a scheduler from flat deployment knobs."""
+                    cell_runner: Optional[Callable] = None,
+                    backend: Optional[Backend] = None) -> Scheduler:
+    """Assemble a scheduler from flat deployment knobs.
+
+    ``backend`` replaces the process pool (``workers``, ``cell_runner``)
+    - a :class:`repro.fleet.coordinator.FleetCoordinator` makes the
+    scheduler a fleet coordinator.
+    """
     config = SchedulerConfig(workers=workers, max_backlog=backlog,
                              per_client_quota=quota,
                              job_timeout=job_timeout,
@@ -273,7 +322,8 @@ def build_scheduler(workers: int = 2, backlog: int = 64, quota: int = 16,
     store = (ResultStore(store_dir, ttl_seconds=ttl_seconds)
              if store_dir else None)
     kwargs = {} if cell_runner is None else {"cell_runner": cell_runner}
-    return Scheduler(config=config, store=store, **kwargs)
+    return Scheduler(config=config, store=store, backend=backend,
+                     **kwargs)
 
 
 async def _amain(scheduler: Scheduler, host: str, port: int,
@@ -290,16 +340,17 @@ async def _amain(scheduler: Scheduler, host: str, port: int,
             loop.add_signal_handler(signum, stop.set)
         except (NotImplementedError, RuntimeError, ValueError):
             pass  # non-main thread or unsupported platform
-    announce(f"wsrs service listening on {server.url}")
+    role = "fleet coordinator" if scheduler.backend.fleet else "service"
+    announce(f"wsrs {role} listening on {server.url}")
     if ready is not None:
         ready(server)
     try:
         await stop.wait()
     finally:
-        announce("wsrs service draining (in-flight jobs finishing)...")
+        announce(f"wsrs {role} draining (in-flight jobs finishing)...")
         await server.stop()
         await scheduler.shutdown(drain=True)
-        announce("wsrs service stopped")
+        announce(f"wsrs {role} stopped")
 
 
 def serve(host: str = "127.0.0.1", port: int = 8787,
@@ -315,7 +366,8 @@ def serve(host: str = "127.0.0.1", port: int = 8787,
 
 
 class EmbeddedServer:
-    """The full service stack on a daemon thread (tests + load tester).
+    """The full service stack on a daemon thread (tests, load tester,
+    and the local fleet harness's coordinator).
 
     ``start()`` blocks until the listener is bound and returns the base
     URL (an OS-assigned port by default); ``stop()`` performs the same

@@ -151,3 +151,17 @@ class TestCommands:
         assert "h-speed" in output
         assert "s-speed" in output
         assert "DIVERGED" not in output
+
+    def test_profile_appends_history_only_when_asked(
+            self, capsys, tmp_path, monkeypatch):
+        from repro.experiments import profile
+
+        monkeypatch.setattr(profile, "run",
+                            lambda **_kwargs: {"identical": True,
+                                               "cells": []})
+        monkeypatch.chdir(tmp_path)
+        history = tmp_path / "BENCH_history.jsonl"
+        history.write_bytes(b'{"sha": "committed"}\n')
+        assert main(["profile", "--quick"]) == 0
+        assert history.read_bytes() == b'{"sha": "committed"}\n'
+        assert "perf-history" not in capsys.readouterr().out

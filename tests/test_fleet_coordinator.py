@@ -23,6 +23,11 @@ from repro.fleet.coordinator import (
 )
 from repro.fleet.netio import TransportError
 from repro.service import jobs as jobmodel
+from repro.service.scheduler import (
+    Scheduler,
+    SchedulerConfig,
+    prometheus_text,
+)
 from repro.service.store import ResultStore
 
 PAYLOAD = {"kind": "simulate", "benchmarks": ["gzip"],
@@ -30,11 +35,12 @@ PAYLOAD = {"kind": "simulate", "benchmarks": ["gzip"],
 WORKERS = ("http://n0:1", "http://n1:2")
 
 
-def _coordinator(workers=WORKERS, store=None, **knobs):
+def _coordinator(workers=WORKERS, store=None, retry_budget=2, **knobs):
     config = FleetConfig(heartbeat_interval=0.01, poll_interval=0.001,
                          **knobs)
-    return FleetCoordinator(config=config, store=store,
-                            workers=list(workers))
+    return Scheduler(SchedulerConfig(retry_budget=retry_budget),
+                     store=store,
+                     backend=FleetCoordinator(config, workers=workers))
 
 
 def _stub_forward(coordinator, outcomes, visited):
@@ -54,7 +60,7 @@ def _stub_forward(coordinator, outcomes, visited):
             raise outcome
         return outcome
 
-    coordinator._forward_and_wait = fake
+    coordinator.backend._forward_and_wait = fake
 
 
 def _run_one(coordinator, payload=PAYLOAD, client="tester"):
@@ -63,7 +69,7 @@ def _run_one(coordinator, payload=PAYLOAD, client="tester"):
     async def drive():
         admission = coordinator.submit(payload, client=client)
         assert admission.status == 202
-        await asyncio.gather(*coordinator._tasks)
+        await asyncio.gather(*coordinator.backend._tasks)
         return admission.job
 
     return asyncio.run(drive())
@@ -123,7 +129,7 @@ class TestNodeLossRequeue:
             job.cancel_requested = True  # client cancels mid-flight
             raise NodeLost("node drained under the job")
 
-        coordinator._forward_and_wait = fake
+        coordinator.backend._forward_and_wait = fake
         job = _run_one(coordinator)
         assert job.state == jobmodel.CANCELLED
         assert coordinator.registry.counters.get(
@@ -140,7 +146,7 @@ class TestHeartbeats:
     def test_misses_mark_dead_then_success_revives(self, monkeypatch):
         coordinator = _coordinator(workers=("http://n0:1",),
                                    heartbeat_misses=3)
-        node = coordinator.nodes["http://n0:1"]
+        node = coordinator.backend.nodes["http://n0:1"]
 
         async def down(*_args, **_kwargs):
             raise TransportError("connection refused")
@@ -150,21 +156,21 @@ class TestHeartbeats:
 
         async def drive():
             monkeypatch.setattr(coordinator_module, "request_json", down)
-            await coordinator._probe(node)
-            await coordinator._probe(node)
+            await coordinator.backend._probe(node)
+            await coordinator.backend._probe(node)
             # Below the threshold the node stays routable.
             assert node.alive
             assert node.missed == 2
-            await coordinator._probe(node)
+            await coordinator.backend._probe(node)
             assert not node.alive
-            assert "http://n0:1" not in coordinator.ring
-            assert coordinator.alive_workers == []
+            assert "http://n0:1" not in coordinator.backend.ring
+            assert coordinator.backend.alive_workers == []
             # One successful probe revives it with its old key ranges.
             monkeypatch.setattr(coordinator_module, "request_json", up)
-            await coordinator._probe(node)
+            await coordinator.backend._probe(node)
             assert node.alive
             assert node.missed == 0
-            assert "http://n0:1" in coordinator.ring
+            assert "http://n0:1" in coordinator.backend.ring
 
         asyncio.run(drive())
         counters = coordinator.registry.counters
@@ -175,18 +181,18 @@ class TestHeartbeats:
     def test_draining_answer_counts_as_a_miss(self, monkeypatch):
         coordinator = _coordinator(workers=("http://n0:1",),
                                    heartbeat_misses=1)
-        node = coordinator.nodes["http://n0:1"]
+        node = coordinator.backend.nodes["http://n0:1"]
 
         async def draining(*_args, **_kwargs):
             return 200, {}, {"status": "draining"}
 
         monkeypatch.setattr(coordinator_module, "request_json", draining)
-        asyncio.run(coordinator._probe(node))
+        asyncio.run(coordinator.backend._probe(node))
         assert not node.alive
 
     def test_worker_503_on_submit_is_node_loss(self, monkeypatch):
         coordinator = _coordinator()
-        node = coordinator.nodes[WORKERS[0]]
+        node = coordinator.backend.nodes[WORKERS[0]]
         job = coordinator._attach(
             jobmodel.parse_request(PAYLOAD), "deadbeef", "tester")
 
@@ -197,7 +203,7 @@ class TestHeartbeats:
 
         async def drive():
             with pytest.raises(NodeLost):
-                await coordinator._forward(
+                await coordinator.backend._forward(
                     job, node, {}, time.monotonic() + 5.0)
 
         asyncio.run(drive())
@@ -224,8 +230,6 @@ class TestStoreReplay:
 class TestMetrics:
     def test_scrape_carries_heartbeat_and_requeue_counters(
             self, monkeypatch):
-        from repro.fleet.server import coordinator_metrics_text
-
         coordinator = _coordinator(retry_budget=1)
         visited = []
         _stub_forward(coordinator, [
@@ -237,9 +241,10 @@ class TestMetrics:
             raise TransportError("connection refused")
 
         monkeypatch.setattr(coordinator_module, "request_json", down)
-        asyncio.run(coordinator._probe(coordinator.nodes[WORKERS[0]]))
+        backend = coordinator.backend
+        asyncio.run(backend._probe(backend.nodes[WORKERS[0]]))
 
-        text = coordinator_metrics_text(coordinator)
+        text = prometheus_text(coordinator)
         assert "# TYPE wsrs_fleet_heartbeats_total counter" in text
         assert "wsrs_fleet_heartbeats_total 1" in text
         assert "wsrs_fleet_heartbeat_misses_total 1" in text

@@ -7,27 +7,109 @@ heap-based design picked.  These tests drive both over
 hypothesis-generated micro-op streams - random op classes, wake cycles
 and in-order memory hazards, with micro-ops also arriving *while* the
 queues drain - and require the per-cycle issue sequences to be
-identical.
-
-The heap replica lives in :mod:`repro.experiments.schedbench` (where it
-is also used to count queue operations); here it is the semantic
-oracle.
+identical.  The heap replica below is the semantic oracle.
 """
+
+import heapq
+from typing import List, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.issue_queue import ClusterScheduler
 from repro.core.lsq import MemoryOrderQueue
-from repro.experiments.schedbench import (
-    ISSUE_WIDTH,
-    NUM_ALUS,
-    NUM_FPUS,
-    NUM_LSUS,
-    _OldHeapScheduler,
-    _uop,
+from repro.core.uop import InFlightUop
+from repro.trace.model import (
+    FP_CLASSES,
+    MEMORY_CLASSES,
+    OpClass,
+    TraceInstruction,
 )
-from repro.trace.model import OpClass
+
+#: Functional-unit mix of the oracle's cluster (the section-5 mix).
+ISSUE_WIDTH = 4
+NUM_ALUS = 2
+NUM_LSUS = 1
+NUM_FPUS = 1
+
+
+class _OldHeapScheduler:
+    """Replica of the pre-event-driven scheduler.
+
+    Mirrors the committed heap design operation for operation: a
+    pending heap keyed by wake cycle, a ready heap keyed by age, and a
+    select that pops candidates and re-pushes structural-hazard losers,
+    running an optional ``veto`` predicate per candidate per cycle.
+    """
+
+    def __init__(self) -> None:
+        self._pending: List[Tuple[int, int, InFlightUop]] = []
+        self._ready: List[Tuple[int, InFlightUop]] = []
+
+    def enqueue(self, uop: InFlightUop, earliest_cycle: int) -> None:
+        heapq.heappush(self._pending, (earliest_cycle, uop.seq, uop))
+
+    def wake(self, cycle: int) -> None:
+        pending = self._pending
+        if not pending or pending[0][0] > cycle:
+            return
+        ready = self._ready
+        woken: List[Tuple[int, InFlightUop]] = []
+        while pending and pending[0][0] <= cycle:
+            _, seq, uop = heapq.heappop(pending)
+            woken.append((seq, uop))
+        if len(woken) == 1:
+            heapq.heappush(ready, woken[0])
+        else:
+            ready.extend(woken)
+            heapq.heapify(ready)
+
+    def select(self, cycle: int, veto=None) -> List[InFlightUop]:
+        self.wake(cycle)
+        ready = self._ready
+        if not ready:
+            return []
+        picked: List[InFlightUop] = []
+        rejected: List[Tuple[int, InFlightUop]] = []
+        alus, lsus, fpus = NUM_ALUS, NUM_LSUS, NUM_FPUS
+        budget = ISSUE_WIDTH
+        while ready and budget:
+            seq, uop = heapq.heappop(ready)
+            op = uop.inst.op
+            if op in MEMORY_CLASSES:
+                available = lsus
+            elif op in FP_CLASSES:
+                available = fpus
+            else:
+                available = alus
+            if not available:
+                rejected.append((seq, uop))
+                continue
+            if veto is not None and veto(uop):
+                rejected.append((seq, uop))
+                continue
+            if op in MEMORY_CLASSES:
+                lsus -= 1
+            elif op in FP_CLASSES:
+                fpus -= 1
+            else:
+                alus -= 1
+            picked.append(uop)
+            budget -= 1
+        for entry in rejected:
+            heapq.heappush(ready, entry)
+        return picked
+
+    def is_empty(self) -> bool:
+        return not self._pending and not self._ready
+
+
+def _uop(seq: int, op: OpClass, mem_index: int = -1) -> InFlightUop:
+    inst = TraceInstruction(op=op, dest=None, src1=None, src2=None)
+    return InFlightUop(seq=seq, inst=inst, cluster=0, swapped=False,
+                       psrc1=None, psrc2=None, pdest=None, pold=None,
+                       dispatch_cycle=0, mem_index=mem_index)
+
 
 _CLASSES = (OpClass.IALU, OpClass.IALU, OpClass.BRANCH, OpClass.FPADD,
             OpClass.FPDIV, OpClass.LOAD, OpClass.LOAD, OpClass.STORE)

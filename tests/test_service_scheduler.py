@@ -254,7 +254,7 @@ class TestFailureContainment:
                 assert counters["worker_crash_requeues_total"] == 1
                 assert job.notes  # the requeue left a breadcrumb
                 # The rebuilt pool still serves new work.
-                scheduler._cell_runner = execute
+                scheduler.backend._cell_runner = execute
                 healthy = scheduler.submit(payload(seed=9), client="a")
                 assert (await wait_terminal(healthy.job)).state == DONE
             finally:
