@@ -31,8 +31,7 @@ def test_simulator_throughput_wsrs(benchmark):
     trace = list(spec_trace("gzip", SIM_SLICE))
 
     def run():
-        return simulate(wsrs_rc(512), iter(trace), measure=SIM_SLICE,
-                        check_invariants=False)
+        return simulate(wsrs_rc(512), iter(trace), measure=SIM_SLICE)
 
     stats = benchmark.pedantic(run, rounds=3, iterations=1)
     assert stats.committed == SIM_SLICE

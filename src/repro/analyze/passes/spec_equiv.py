@@ -1,6 +1,6 @@
 """SPEC-EQUIV: static equivalence checking of the generated stepper.
 
-The config-specialized third gear (:mod:`repro.core.specialize`)
+The config-specialized gear (:mod:`repro.core.specialize`)
 *generates* a run loop per :class:`~repro.config.MachineConfig`, baking
 every configuration constant in as a literal.  Runtime tests pin
 bit-identical statistics on the six section-5 configurations - but a
@@ -8,8 +8,9 @@ codegen defect that only manifests on an unusual configuration (an odd
 cluster mix, a shared divider, a tiny deadlock-prone register file)
 would sail through.  This pass closes that hole statically: for every
 section-5 config plus a seeded sample of the configuration space it
-calls :func:`~repro.core.specialize.generate_stepper_source` and
-verifies the *AST* against the reference semantics.
+calls :func:`~repro.core.specialize.generate_stepper_source` - once
+for the hook-free variant and once for the hooked one - and verifies
+the *AST* against the reference semantics.
 
 Rules
 -----
@@ -26,15 +27,26 @@ Rules
     that the forward-delay table is loaded from the processor's
     precomputed ``FWD`` global rather than re-derived.
 ``SPEC-EQUIV-GUARD``
-    The despecialization guards are present: the entry guard
-    (sanitizer/observer/move-debt -> ``return False``) is the first
-    statement, and on ``moves`` configurations the mid-run trip wire
-    (``tripped``) exists and despecializes inside the loop.
+    The despecialization guards are present: the entry guard is the
+    first statement (hook-free variant: sanitizer/observer/move-debt ->
+    ``return False``; hooked variant: move-debt alone, since it runs
+    exactly when hooks are attached), and on ``moves`` configurations
+    the mid-run trip wire (``tripped``) exists and despecializes inside
+    the loop.
 ``SPEC-EQUIV-WRITEBACK``
     The main loop is wrapped in ``try``/``finally``, the ``finally``
     block writes every mirrored local back to the machine, and no
     ``return`` escapes the writeback (the entry guard, which runs
-    before any state is localized, is the only exception).
+    before any state is localized, is the only exception).  In the
+    hooked variant every cycle-boundary hook call (``on_cycle_end``,
+    ``on_cycle_skip``) is immediately preceded by the same full
+    writeback, so the hooks read the state the reference stepper would
+    show them.  The per-uop hooks (``on_dispatch``, ``on_issue``,
+    ``on_commit``) take the micro-op and read only it and state the
+    loop mutates in place, so they need no writeback.
+``SPEC-EQUIV-HOOKS``
+    The hooked variant calls all five hooks; the hook-free variant
+    calls none.
 ``SPEC-EQUIV-PURITY``
     No module-level ``random.*`` call and no set iteration reaches the
     generated body (the same determinism hazards ``wsrs lint`` bans in
@@ -90,6 +102,8 @@ RULES = {
                         "generated stepper",
     "SPEC-EQUIV-WRITEBACK": "the finally-writeback does not dominate "
                             "every exit of the generated stepper",
+    "SPEC-EQUIV-HOOKS": "the hooked stepper misses a hook site, or the "
+                        "hook-free stepper calls a hook",
     "SPEC-EQUIV-PURITY": "generated code reaches module-level random.* "
                          "state, iterates a set, or touches an unknown "
                          "global",
@@ -117,6 +131,12 @@ _REQUIRED_WRITEBACK = (
     "stats.stall_deadlock_moves", "stats.swapped_forms",
 )
 
+#: The hook interface the hooked variant calls, and the subset that
+#: reads machine state (so needs the full writeback before it).
+_HOOKS = ("on_dispatch", "on_issue", "on_commit", "on_cycle_end",
+          "on_cycle_skip")
+_CYCLE_HOOKS = ("on_cycle_end", "on_cycle_skip")
+
 
 def _finding(config: MachineConfig, where, rule: str, message: str,
              severity: str = "error") -> Finding:
@@ -130,13 +150,15 @@ def _finding(config: MachineConfig, where, rule: str, message: str,
 # Entry points
 # ---------------------------------------------------------------------------
 
-def check_config_codegen(config: MachineConfig) -> List[Finding]:
-    """Generate the stepper for ``config`` and statically verify it."""
-    return check_generated_source(generate_stepper_source(config), config)
+def check_config_codegen(config: MachineConfig,
+                         hooked: bool = False) -> List[Finding]:
+    """Generate one stepper variant for ``config`` and verify it."""
+    return check_generated_source(generate_stepper_source(config, hooked),
+                                  config, hooked)
 
 
-def check_generated_source(source: str,
-                           config: MachineConfig) -> List[Finding]:
+def check_generated_source(source: str, config: MachineConfig,
+                           hooked: bool = False) -> List[Finding]:
     """Verify generated stepper ``source`` against ``config``.
 
     Exposed separately from :func:`check_config_codegen` so tests can
@@ -157,8 +179,9 @@ def check_generated_source(source: str,
                          f"generated source defines no "
                          f"{SPECIALIZED_FUNC_NAME}() function")]
     findings: List[Finding] = []
-    findings.extend(_check_guards(func, config))
+    findings.extend(_check_guards(func, config, hooked))
     findings.extend(_check_writeback(func, config))
+    findings.extend(_check_hooks(func, config, hooked))
     findings.extend(_check_literals(func, config))
     findings.extend(_check_purity(func, config))
     findings.extend(_check_rng_alignment(func, config))
@@ -174,7 +197,8 @@ def run_spec_equiv(context: AnalysisContext) -> List[Finding]:
     configs.extend(sampled_configs(context.sample_configs,
                                    context.sample_seed))
     for config in configs:
-        findings.extend(check_config_codegen(config))
+        for hooked in (False, True):
+            findings.extend(check_config_codegen(config, hooked))
     return findings
 
 
@@ -264,19 +288,26 @@ def _is_entry_guard(stmt: ast.stmt) -> bool:
             and stmt.body[0].value.value is False)
 
 
-def _check_guards(func: ast.FunctionDef,
-                  config: MachineConfig) -> List[Finding]:
+def _check_guards(func: ast.FunctionDef, config: MachineConfig,
+                  hooked: bool) -> List[Finding]:
     findings: List[Finding] = []
     body = _body_after_docstring(func)
     guard = body[0] if body else None
     if guard is not None and _is_entry_guard(guard):
         attrs = {node.attr for node in ast.walk(guard.test)
                  if isinstance(node, ast.Attribute)}
-        missing = sorted({"sanitizer", "obs", "_move_debt"} - attrs)
+        expected = ({"_move_debt"} if hooked
+                    else {"sanitizer", "obs", "_move_debt"})
+        missing = sorted(expected - attrs)
         if missing:
             findings.append(_finding(
                 config, guard, "SPEC-EQUIV-GUARD",
                 f"entry guard does not test {', '.join(missing)}"))
+        if hooked and attrs != expected:
+            findings.append(_finding(
+                config, guard, "SPEC-EQUIV-GUARD",
+                f"hooked entry guard must test _move_debt alone, not "
+                f"{', '.join(sorted(attrs - expected))}"))
     else:
         findings.append(_finding(
             config, guard or func, "SPEC-EQUIV-GUARD",
@@ -326,6 +357,29 @@ def _attr_chain(node: ast.expr) -> str:
     return ""
 
 
+def _required_writeback(config: MachineConfig) -> List[str]:
+    required = list(_REQUIRED_WRITEBACK)
+    if config.allocation_policy == "round_robin":
+        required.append("proc.allocator._next")
+    return required
+
+
+def _written_chains(stmts: Sequence[ast.stmt]) -> set:
+    """Attribute chains (``proc.cycle``...) assigned anywhere in ``stmts``."""
+    written = set()
+    for stmt in stmts:
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = (node.targets
+                           if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    chain = _attr_chain(target)
+                    if chain:
+                        written.add(chain)
+    return written
+
+
 def _check_writeback(func: ast.FunctionDef,
                      config: MachineConfig) -> List[Finding]:
     findings: List[Finding] = []
@@ -337,20 +391,8 @@ def _check_writeback(func: ast.FunctionDef,
             "main loop is not wrapped in try/finally; a guard trip or "
             "exception would lose the localized machine state")]
 
-    written = set()
-    for stmt in try_node.finalbody:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets
-                           if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    chain = _attr_chain(target)
-                    if chain:
-                        written.add(chain)
-    required = list(_REQUIRED_WRITEBACK)
-    if config.allocation_policy == "round_robin":
-        required.append("proc.allocator._next")
+    required = _required_writeback(config)
+    written = _written_chains(try_node.finalbody)
     missing = sorted(chain for chain in required if chain not in written)
     if missing:
         findings.append(_finding(
@@ -369,6 +411,62 @@ def _check_writeback(func: ast.FunctionDef,
                     config, node, "SPEC-EQUIV-WRITEBACK",
                     "return outside the try/finally escapes the local "
                     "state writeback"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# Hook sites
+# ---------------------------------------------------------------------------
+
+def _hook_calls(node: ast.AST) -> List[ast.Call]:
+    return [call for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in _HOOKS]
+
+
+def _assigns_local(stmt: ast.stmt) -> bool:
+    return any(isinstance(target, ast.Name)
+               for node in ast.walk(stmt)
+               if isinstance(node, (ast.Assign, ast.AugAssign))
+               for target in (node.targets if isinstance(node, ast.Assign)
+                              else [node.target]))
+
+
+def _check_hooks(func: ast.FunctionDef, config: MachineConfig,
+                 hooked: bool) -> List[Finding]:
+    calls = _hook_calls(func)
+    if not hooked:
+        return [_finding(config, call, "SPEC-EQUIV-HOOKS",
+                         f"hook-free stepper calls {call.func.attr}()")
+                for call in calls]
+    called = {call.func.attr for call in calls}
+    findings = [_finding(config, func, "SPEC-EQUIV-HOOKS",
+                         f"hooked stepper never calls {name}()")
+                for name in _HOOKS if name not in called]
+    # A cycle hook's loop must be preceded by the writeback: the run of
+    # statements before it that store no local.
+    required = _required_writeback(config)
+    blocks = [block for node in ast.walk(func)
+              for block in (getattr(node, "body", None),
+                            getattr(node, "orelse", None))
+              if isinstance(block, list)]
+    for block in blocks:
+        for index, stmt in enumerate(block):
+            names = [call.func.attr for call in _hook_calls(stmt)
+                     if call.func.attr in _CYCLE_HOOKS]
+            if not isinstance(stmt, ast.For) or not names:
+                continue
+            start = index
+            while start and not _assigns_local(block[start - 1]):
+                start -= 1
+            written = _written_chains(block[start:index])
+            missing = [chain for chain in required if chain not in written]
+            if missing:
+                findings.append(_finding(
+                    config, stmt, "SPEC-EQUIV-WRITEBACK",
+                    f"{names[0]}() is not preceded by the full "
+                    f"writeback: {', '.join(sorted(missing))}"))
     return findings
 
 

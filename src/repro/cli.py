@@ -112,19 +112,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.experiments.runner import RunSpec, execute
 
     config = config_by_name(args.config)
-    gear = args.gear
-    if gear is None and args.reference:
-        gear = "reference"
     spec = RunSpec(config=config, benchmark=args.benchmark,
                    measure=args.measure, warmup=args.warmup,
                    seed=args.seed, sanitize=args.sanitize,
-                   check_invariants=args.paranoid,
-                   fast_path=not args.reference,
-                   observe=args.observe, gear=gear)
+                   observe=args.observe, gear=args.gear)
     result = execute(spec)
     stats = result.stats
     print(f"benchmark        {args.benchmark}")
     print(f"configuration    {config.name}")
+    print(f"gear             {result.gear}")
+    print(f"despecializations {result.despecializations}")
     print(f"IPC              {stats.ipc:.3f}")
     print(f"cycles           {stats.cycles}")
     print(f"committed        {stats.committed}")
@@ -177,9 +174,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                         every=args.trace_every) as tracer:
         processor = Processor(config, trace,
                               predictor=make_predictor("2bcgskew"),
-                              check_invariants=False,
-                              fast_path=not args.reference,
-                              tracer=tracer)
+                              tracer=tracer,
+                              gear="reference" if args.reference else None)
         stats = processor.run(measure=args.measure, warmup=args.warmup)
         tracer.close(stats)
     print(f"wrote {tracer.events_written} events to {args.out}")
@@ -530,14 +526,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     done = [0]
     gears: Counter = Counter()
-    blockers: Counter = Counter()
 
     def progress(result) -> None:
         # Gear provenance goes to the console only: the payload (and so
         # its digest) stays gear-free.
         done[0] += 1
         gears[result.gear] += 1
-        blockers.update(result.blockers)
         print(f"  [{done[0]}] {result.spec.config.name:<28s}"
               f"{result.spec.benchmark:<8s}IPC {result.stats.ipc:.3f}"
               f"  {result.gear}")
@@ -547,9 +541,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                       warmup=args.warmup, seed=args.seed,
                       workers=args.workers, progress=progress)
     print("gears: " + ", ".join(f"{gear} {n}"
-                                for gear, n in sorted(gears.items()))
-          + "".join(f"; blocked {n}x: {reason}"
-                    for reason, n in sorted(blockers.items())))
+                                for gear, n in sorted(gears.items())))
     counts = payload["counts"]
     print(f"lattice {counts['cells']} cells: {counts['valid']} valid "
           f"({counts['incompatible']} incompatible, {counts['invalid']} "
@@ -636,20 +628,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sanitize", action="store_true",
                     help="run the cycle-level pipeline sanitizer "
                          "(repro.verify) alongside the simulation")
-    ps.add_argument("--paranoid", action="store_true",
-                    help="enable per-uop read-legality assertions "
-                         "(check_invariants; off by default)")
-    ps.add_argument("--reference", action="store_true",
-                    help="force the reference per-cycle stepper instead "
-                         "of the event-horizon fast path")
     ps.add_argument("--gear", default=None,
-                    choices=["reference", "horizon", "specialized"],
-                    help="main-loop gear: reference per-cycle stepper, "
-                         "event-horizon fast path, or the config-"
-                         "specialized stepper (falls back to the generic "
-                         "gears when its guards block; statistics are "
-                         "bit-identical either way).  Overrides "
-                         "--reference")
+                    choices=["reference", "specialized"],
+                    help="main-loop gear: the reference per-cycle "
+                         "stepper, or the config-specialized stepper "
+                         "(the default; statistics are bit-identical "
+                         "either way)")
     ps.add_argument("--observe", action="store_true",
                     help="attach the observability layer (repro.obs) and "
                          "print the run's CPI stack; statistics stay "
@@ -681,8 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser(
         "profile",
-        help="profile the core loop (reference vs event-horizon vs "
-             "specialized), write BENCH_core.json")
+        help="profile the core loop (reference vs specialized), "
+             "write BENCH_core.json")
     pc.add_argument("--benchmark", default=None,
                     choices=sorted(PROFILES),
                     help="trace to profile on (default: mcf, the most "

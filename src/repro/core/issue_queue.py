@@ -4,8 +4,9 @@ Each cluster owns a :class:`ClusterScheduler`.  Dispatched micro-ops wait
 in a *calendar queue* on the pending side: a dict mapping wake-up cycle
 (the max over operands of producer-result cycle plus the inter-cluster
 forwarding delay) to the list of micro-ops waking that cycle, plus a
-sorted key list whose head feeds :meth:`next_wake_cycle` for the horizon
-gear.  Bulk wakes drain whole buckets, O(woken), with no heapify storms.
+sorted key list whose head feeds :meth:`next_wake_cycle` (the
+specialized gear's event-horizon jump reads the same head directly).
+Bulk wakes drain whole buckets, O(woken), with no heapify storms.
 
 Woken entries land in a *ready list* sorted by age (sequence number).
 Select scans it in place: micro-ops that lose selection to a structural

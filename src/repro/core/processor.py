@@ -27,23 +27,21 @@ Wrong-path instructions are not simulated: a mispredicted branch stops
 instruction delivery until ``resolution_cycle + minimum_penalty``, which is
 the paper's own level of abstraction for the front end.
 
-The main loop has three gears.  The reference stepper
-(:meth:`Processor.step`) advances one cycle at a time; the *event-horizon*
-fast path (``gear="horizon"``) detects cycles where the
-machine provably does nothing - commit idle, no scheduler entry awake,
-rename stalled on a branch-penalty window, a full ROB/cluster, or an
-exhausted trace - and jumps ``cycle`` straight to the next event (earliest
-scheduler wake-up, the ROB head's completion, the rename-unblock cycle, a
-multiply/divide unit release), bulk-charging the per-cycle stall counters
-for the skipped range.  The third gear (``gear="specialized"``,
+The main loop has two gears.  The reference stepper
+(:meth:`Processor.step`) advances one cycle at a time and is the oracle.
+The specialized gear (``gear="specialized"``, the default;
 :mod:`repro.core.specialize`) compiles a run loop specialized to the
-frozen configuration - constants baked in, per-cycle dispatch flattened,
-the event-horizon jump inlined - and falls back to the generic gears
-mid-run when a guard condition (a deadlock-breaking move) leaves the
-specialized envelope.  By default (``gear=None``) a processor runs on
-the fastest gear it admits: specialized unless an entry guard blocks
-it, else horizon (``fast_path=False`` alone forces the reference
-stepper).  Every statistic is bit-identical across all three gears;
+frozen configuration - constants baked in, per-cycle dispatch
+flattened, and an *event-horizon* jump that detects cycles where the
+machine provably does nothing (commit idle, no scheduler entry awake,
+rename stalled on a branch-penalty window, a full ROB/cluster, or an
+exhausted trace) and moves ``cycle`` straight to the next event,
+bulk-charging the per-cycle stall counters for the skipped range.
+Attached hooks (a sanitizer, an observer or tracer) select a variant of
+the generated loop that calls them at the same points as the reference
+stepper.  When a guard condition (a deadlock-breaking move) leaves the
+specialized envelope mid-run, the rest of the run continues on the
+reference stepper.  Every statistic is bit-identical across both gears;
 see ``docs/architecture.md`` ("Performance") for the argument.
 
 Typical use::
@@ -72,17 +70,12 @@ from repro.errors import ConfigError, ReproError
 from repro.frontend.fetch import FrontEnd
 from repro.frontend.predictors import BranchPredictor, make_predictor
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.trace.model import FP_CLASSES, OpClass, TraceInstruction
+from repro.trace.model import OpClass, TraceInstruction
 
 #: Abort if the machine makes no forward progress for this many pipeline
-#: events (steps or event-horizon jumps; a reference-stepper event is one
-#: cycle, so the threshold is unchanged for the per-cycle core).
+#: events (reference-stepper cycles, or the specialized gear's steps and
+#: event-horizon jumps).
 _PROGRESS_LIMIT = 100_000
-
-#: Horizon sentinel: any candidate event at or beyond this cycle is "never"
-#: (matches the :data:`UNKNOWN_CYCLE` result-cycle sentinel of unissued
-#: micro-ops so unissued ROB heads drop out of the min naturally).
-_NO_EVENT = UNKNOWN_CYCLE
 
 
 class DeadlockedPipeline(ReproError):
@@ -92,13 +85,11 @@ class DeadlockedPipeline(ReproError):
 class Processor:
     """One simulated machine instance bound to one trace.
 
-    ``gear`` picks the main loop: ``"reference"``, ``"horizon"`` or
-    ``"specialized"`` request that gear (a blocked faster gear degrades
-    to the next slower one), and ``None`` - the default - runs on the
-    fastest gear the configuration and attachments admit.
-    ``fast_path=False`` with ``gear=None`` forces the reference stepper.
-    After construction :attr:`gear` names the gear that engaged (it can
-    drop to a generic gear mid-run; see :attr:`despecializations`).
+    ``gear`` picks the main loop: ``"reference"`` for the per-cycle
+    stepper, ``"specialized"`` or ``None`` (the default) for the
+    generated stepper.  After construction :attr:`gear` names the gear
+    that runs; it drops to the reference gear when a mid-run guard
+    trips (see :attr:`despecializations`).
     """
 
     def __init__(
@@ -106,32 +97,22 @@ class Processor:
         config: MachineConfig,
         trace: Iterable[TraceInstruction],
         predictor: Optional[BranchPredictor] = None,
-        check_invariants: bool = True,
         sanitize: Optional[bool] = None,
-        fast_path: bool = True,
         observe: bool = False,
         tracer=None,
         gear: Optional[str] = None,
     ) -> None:
         config.validate()
         self.config = config
-        self.check_invariants = check_invariants
-        # Gear selection: ``gear`` is the explicit three-speed knob
-        # ("reference" | "horizon" | "specialized").  When omitted, the
-        # fastest gear the run admits engages; ``fast_path=False`` still
-        # forces the reference stepper.
         if gear is not None:
             from repro.core.specialize import GEARS
 
             if gear not in GEARS:
                 raise ConfigError(
                     f"unknown gear {gear!r}; expected one of {GEARS}")
-            fast_path = gear != "reference"
-        self.requested_gear = gear
-        self.fast_path = fast_path
         #: Event-horizon instrumentation (diagnostics only - deliberately
         #: not part of :class:`SimulationStats`, whose counters stay
-        #: bit-identical between the two cores).
+        #: bit-identical between the two gears).
         self.horizon_jumps = 0
         self.horizon_cycles_skipped = 0
 
@@ -190,14 +171,6 @@ class Processor:
         # schedulers run with an unlimited quota).
         self._muldiv_vetoed = (not config.pipelined_muldiv
                                or config.shared_muldiv)
-        self._wsrs_mapping = None
-        if config.uses_read_specialization:
-            from repro.extensions.general_wsrs import make_mapping
-
-            self._wsrs_mapping = make_mapping(config.num_clusters)
-        self._int_phys = config.int_physical_registers
-        self._int_subset = config.int_subset_size
-        self._fp_subset = config.fp_subset_size
 
         self.stats.record_run_metadata(config.allocation_policy,
                                        self.allocator.seed)
@@ -217,34 +190,32 @@ class Processor:
         # Observability (repro.obs): CPI-stack cycle accounting, the
         # counter/histogram registry and the optional structured event
         # trace.  A pure reader - attached last so it sees the fully
-        # built machine; None costs one attribute test per hook site.
+        # built machine.
         self.obs = None
         if observe or tracer is not None:
             from repro.obs.observer import Observer
 
             self.obs = Observer(self, tracer=tracer)
+        #: The attached hooks, in call order.  Both gears call every hook
+        #: at the same points: dispatch, issue, commit, cycle end and
+        #: (specialized gear only) an event-horizon skip.
+        self._hooks = tuple(hook for hook in (self.sanitizer, self.obs)
+                            if hook is not None)
 
-        # Third gear: the config-specialized stepper (repro.core.
-        # specialize), requested explicitly or by default.  Built last so
-        # its entry guards see the fully assembled machine; blocked
-        # processors (sanitized, observed, paranoid WSRS checking)
-        # silently keep the generic gears - the ``gear``
-        # attribute reports what actually engaged.  The stored stepper is
-        # the generated function itself, called with this processor as
-        # its argument: a closure bound to ``self`` would make every
+        # The specialized stepper (repro.core.specialize), built last so
+        # the hooks it calls are attached.  The stored stepper is the
+        # generated function itself, called with this processor as its
+        # argument: a closure bound to ``self`` would make every
         # processor a reference cycle that outlives its run until a
         # full garbage collection.  ``despecializations`` counts mid-run
         # guard trips.
         self._specialized_run = None
         self.despecializations = 0
-        if gear == "specialized" or (gear is None and fast_path):
+        if gear != "reference":
             from repro.core.specialize import build_specialized_runner
 
             self._specialized_run = build_specialized_runner(self)
-        if self._specialized_run is not None:
-            self.gear = "specialized"
-        else:
-            self.gear = "horizon" if self.fast_path else "reference"
+        self.gear = "reference" if gear == "reference" else "specialized"
 
     # ------------------------------------------------------------------
     # main loop
@@ -268,12 +239,6 @@ class Processor:
         return self.stats
 
     def _run_until(self, committed_target: int) -> None:
-        # Forward progress is measured in pipeline *events* (steps or
-        # jumps), not raw cycles: one event-horizon jump can legally
-        # advance the clock by hundreds of cycles (an L2 miss under a
-        # full ROB), which a raw-cycle watchdog would misread as a hang.
-        # On the reference stepper every event is one cycle, so the
-        # threshold is exactly the historical cycle-based one.
         runner = self._specialized_run
         if runner is not None:
             if runner(self, committed_target):
@@ -281,28 +246,26 @@ class Processor:
             # A specialization guard tripped (deadlock-breaking move):
             # the specialized stepper finished the trip cycle with
             # reference semantics and wrote all state back, so the
-            # generic gears resume mid-run without divergence.  The
+            # reference stepper resumes mid-run without divergence.  The
             # despecialization is permanent for this processor.
             self._specialized_run = None
             self.despecializations += 1
-            self.gear = "horizon" if self.fast_path else "reference"
-        idle_events = 0
+            self.gear = "reference"
+        idle_cycles = 0
         last_committed = self.stats.committed
-        fast = self.fast_path
         while self.stats.committed < committed_target:
             if self.frontend.exhausted and not self._rob:
                 break
-            if not (fast and self._try_jump()):
-                self.step()
+            self.step()
             if self.stats.committed != last_committed:
                 last_committed = self.stats.committed
-                idle_events = 0
+                idle_cycles = 0
             else:
-                idle_events += 1
-                if idle_events > _PROGRESS_LIMIT:
+                idle_cycles += 1
+                if idle_cycles > _PROGRESS_LIMIT:
                     raise DeadlockedPipeline(
-                        f"no instruction committed for {idle_events} "
-                        f"pipeline events at cycle {self.cycle}")
+                        f"no instruction committed for {idle_cycles} "
+                        f"cycles at cycle {self.cycle}")
 
     def step(self) -> None:
         """Advance the machine by one cycle."""
@@ -312,169 +275,10 @@ class Processor:
         self.renamer.begin_cycle()
         self._rename_and_dispatch(cycle)
         self.renamer.end_cycle()
-        if self.sanitizer is not None:
-            self.sanitizer.on_cycle_end(cycle)
-        if self.obs is not None:
-            self.obs.on_cycle_end(cycle)
+        for hook in self._hooks:
+            hook.on_cycle_end(cycle)
         self.stats.cycles += 1
         self.cycle = cycle + 1
-
-    # ------------------------------------------------------------------
-    # event-horizon fast path
-    # ------------------------------------------------------------------
-
-    def _try_jump(self) -> bool:
-        """Skip ahead to the next event when this cycle provably idles.
-
-        A cycle is *dead* when every stage is a no-op apart from charging
-        one stall counter: nothing commits (ROB empty or head incomplete),
-        no scheduler entry wakes or can issue (entries already awake are
-        tolerated when they are provably vetoed for the whole window),
-        and rename is stalled for a reason that cannot clear before an
-        event - a branch-penalty window, a full ROB, a full cluster (with
-        the allocation decision already drawn), or an exhausted trace.  The machine state is then
-        frozen until the *event horizon*: the earliest of the schedulers'
-        next wake-ups, the ROB head's completion, the rename-unblock
-        cycle and the multiply/divide unit releases.  Jumping there in
-        one step and bulk-charging ``skipped`` cycles of the same stall
-        counter reproduces the reference stepper's statistics bit for
-        bit.  The one exception to the freeze, implementation-1
-        staging and recycling, advances in closed form
-        (:meth:`~repro.rename.renamer.Renamer.idle`).
-
-        Returns True when a jump happened (the caller skips ``step()``).
-        Cycles whose rename outcome depends on mutable machinery - an
-        allocation decision still to be drawn (an RNG consumer), a
-        ``can_rename`` consultation (which may inject deadlock moves), or
-        outstanding move debt - are never skipped.
-        """
-        cycle = self.cycle
-        rob = self._rob
-        if rob and rob[0].result_cycle <= cycle:
-            return False  # commit work this cycle
-        if self._move_debt:
-            return False  # debt settling mutates counters cycle by cycle
-        wake = _NO_EVENT
-        for scheduler in self.schedulers:
-            when = scheduler.next_wake_cycle()
-            if when is not None:
-                if when <= cycle:
-                    return False  # wake-up work this cycle
-                if when < wake:
-                    wake = when
-        config = self.config
-        stats = self.stats
-
-        # Mirror _rename_and_dispatch's stall priority exactly, including
-        # its fetch behaviour: the branch/ROB stalls return before peek(),
-        # so the detector must not fetch in those states either.
-        if self._waiting_branch is not None \
-                or cycle < self._rename_blocked_until:
-            stall = "branch"
-        elif len(rob) >= config.rob_size:
-            stall = "rob"
-        else:
-            fetched = self.frontend.peek()  # the fetch rename would do
-            if fetched is None:
-                if not rob:
-                    # End-of-trace drain complete: this is termination,
-                    # not a dead window - step once so the run loop sees
-                    # the exhausted front end and stops.
-                    return False
-                stall = "exhausted"
-            elif self._pending_decision is None:
-                return False  # allocation decision (RNG) due this cycle
-            elif (self.schedulers[self._pending_decision[0]].inflight
-                  >= config.cluster.max_inflight):
-                stall = "cluster"
-            else:
-                return False  # rename can proceed (or consults can_rename)
-
-        # Ready (already-woken) entries only force a live cycle when one
-        # of them can actually issue.  Memory operations blocked by the
-        # in-order address-computation rule are *parked* (never in the
-        # ready list), and since nothing issues during a dead window,
-        # ``issued_memory_ops`` is frozen and no release can fire for
-        # every skipped cycle - so parked memory ops are ignorable here.
-        # A multiply/divide left in the ready list by an issue-width
-        # cutoff (or parked on a busy unit) only becomes issuable at the
-        # unit's release cycle, which is already an event-horizon
-        # candidate.  Nothing in the skipped range would mutate state:
-        # the reference stepper's select over a dead window picks
-        # nothing and parks nothing new.
-        mem_next = self.memorder.issued_memory_ops
-        muldiv_vetoed = self._muldiv_vetoed
-        busy_until = self._muldiv_busy_until
-        for scheduler in self.schedulers:
-            lsus = scheduler.num_lsus
-            fpus = scheduler.num_fpus
-            alus = scheduler.num_alus
-            if alus and scheduler._parked_muldiv and \
-                    busy_until[self._muldiv_unit(scheduler.cluster_id)] \
-                    <= cycle:
-                return False  # unit free: a parked IMULDIV un-parks
-            for _seq, uop in scheduler._ready:
-                if uop.mem_index >= 0:
-                    if lsus and uop.mem_index == mem_next:
-                        return False  # head of memory order: issuable
-                elif uop.inst.op in FP_CLASSES:
-                    if fpus:
-                        return False  # an FP unit will take it
-                elif alus:
-                    if muldiv_vetoed and uop.inst.op is OpClass.IMULDIV:
-                        if busy_until[self._muldiv_unit(uop.cluster)] \
-                                <= cycle:
-                            return False  # unit free: issuable
-                        # Busy unit: held until release (in horizon).
-                    else:
-                        return False  # plain ALU op: issuable
-
-        horizon = wake
-        if rob and rob[0].result_cycle < horizon:
-            horizon = rob[0].result_cycle
-        if cycle < self._rename_blocked_until < horizon:
-            horizon = self._rename_blocked_until
-        for busy in self._muldiv_busy_until:
-            if cycle < busy < horizon:
-                horizon = busy
-        if horizon >= _NO_EVENT:
-            # Nothing in flight will ever wake, complete or unblock: the
-            # reference stepper would spin _PROGRESS_LIMIT dead cycles
-            # and then raise; the fast path can prove it immediately.
-            raise DeadlockedPipeline(
-                f"event horizon found no future event at cycle {cycle} "
-                f"(rename stalled on {stall}, nothing in flight can "
-                f"wake or commit)")
-
-        skipped = horizon - cycle
-        if skipped > _PROGRESS_LIMIT:
-            # The reference stepper would burn its whole progress budget
-            # inside this window and give up; mirror its guard rather
-            # than leaping a wedged machine.
-            raise DeadlockedPipeline(
-                f"no commit possible for {skipped} cycles at cycle "
-                f"{cycle} (rename stalled on {stall} until the event "
-                f"horizon at {horizon})")
-        width = config.front_width
-        if stall == "branch":
-            stats.stall_branch_penalty += width * skipped
-        elif stall == "rob":
-            stats.stall_rob_full += width * skipped
-        elif stall == "cluster":
-            stats.stall_cluster_full += width * skipped
-        if self.sanitizer is not None:
-            self.sanitizer.on_cycle_skip(cycle, horizon)
-        if self.obs is not None:
-            self.obs.on_cycle_skip(cycle, horizon, stall)
-        # Implementation 1 still stages and recycles on every skipped
-        # cycle; advanced after the hooks, which read the window's
-        # free-list series from the pre-jump state.
-        self.renamer.idle(skipped)
-        stats.cycles += skipped
-        self.cycle = horizon
-        self.horizon_jumps += 1
-        self.horizon_cycles_skipped += skipped
-        return True
 
     # ------------------------------------------------------------------
     # commit
@@ -484,18 +288,15 @@ class Processor:
         rob = self._rob
         renamer = self.renamer
         stats = self.stats
-        sanitizer = self.sanitizer
-        obs = self.obs
+        hooks = self._hooks
         budget = self.config.commit_width
         while budget and rob:
             uop = rob[0]
             if uop.result_cycle > cycle:
                 break
             rob.popleft()
-            if sanitizer is not None:
-                sanitizer.on_commit(uop, cycle)
-            if obs is not None:
-                obs.on_commit(uop, cycle)
+            for hook in hooks:
+                hook.on_commit(uop, cycle)
             if uop.pdest is not None:
                 renamer.retire_write(uop.pdest)
             if uop.pold is not None:
@@ -573,10 +374,8 @@ class Processor:
         uop.issue_cycle = cycle
         result_cycle = cycle + latency
         uop.result_cycle = result_cycle
-        if self.sanitizer is not None:
-            self.sanitizer.on_issue(uop, cycle)
-        if self.obs is not None:
-            self.obs.on_issue(uop, cycle)
+        for hook in self._hooks:
+            hook.on_issue(uop, cycle)
         if inst.op == OpClass.IMULDIV:
             if not self.config.pipelined_muldiv:
                 # non-pipelined: the unit is busy for the whole operation
@@ -698,13 +497,9 @@ class Processor:
                 self._reg_result[pdest] = UNKNOWN_CYCLE
                 self._reg_cluster[pdest] = cluster
 
-            if self.sanitizer is not None:
-                self.sanitizer.on_dispatch(uop, cycle)
-            if self.obs is not None:
-                self.obs.on_dispatch(uop, cycle)
+            for hook in self._hooks:
+                hook.on_dispatch(uop, cycle)
             self._compute_wakeup(uop, cycle)
-            if self.check_invariants and config.uses_read_specialization:
-                self._check_read_legality(uop)
 
             rob.append(uop)
             schedulers[cluster].inflight += 1
@@ -745,43 +540,6 @@ class Processor:
             self.schedulers[uop.cluster].enqueue(uop, earliest)
 
     # ------------------------------------------------------------------
-    # invariants
-    # ------------------------------------------------------------------
-
-    def _subset_of_physical(self, preg: int) -> int:
-        if preg < self._int_phys:
-            return preg // self._int_subset
-        return (preg - self._int_phys) // self._fp_subset
-
-    def _check_read_legality(self, uop: InFlightUop) -> None:
-        """Assert the WSRS read/write constraints.
-
-        For the 4-cluster machine this is Figure 3's rule (the first
-        operand port of cluster ``C(f, s)`` only reads subsets with the
-        same top/bottom bit ``f``, the second port only subsets with the
-        same left/right bit ``s``); other cluster counts check against the
-        generalised mapping of :mod:`repro.extensions.general_wsrs`.
-        """
-        first = uop.first_port_operand
-        second = uop.second_port_operand
-        cluster = uop.cluster
-        first_subset = (self._subset_of_physical(first)
-                        if first is not None else None)
-        second_subset = (self._subset_of_physical(second)
-                         if second is not None else None)
-        if not self._wsrs_mapping.legal(cluster, first_subset,
-                                        second_subset):
-            raise ReproError(
-                f"WSRS violation: uop #{uop.seq} reads subsets "
-                f"({first_subset}, {second_subset}) on cluster {cluster}")
-        if uop.pdest is not None \
-                and self._subset_of_physical(uop.pdest) != cluster:
-            raise ReproError(
-                f"write-specialization violation: uop #{uop.seq} result "
-                f"in subset {self._subset_of_physical(uop.pdest)} from "
-                f"cluster {cluster}")
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
@@ -804,16 +562,13 @@ def simulate(
     measure: int,
     warmup: int = 0,
     predictor: Optional[BranchPredictor] = None,
-    check_invariants: bool = True,
     sanitize: Optional[bool] = None,
-    fast_path: bool = True,
     observe: bool = False,
     tracer=None,
     gear: Optional[str] = None,
 ) -> SimulationStats:
     """One-call convenience wrapper around :class:`Processor`."""
     processor = Processor(config, trace, predictor=predictor,
-                          check_invariants=check_invariants,
-                          sanitize=sanitize, fast_path=fast_path,
-                          observe=observe, tracer=tracer, gear=gear)
+                          sanitize=sanitize, observe=observe,
+                          tracer=tracer, gear=gear)
     return processor.run(measure=measure, warmup=warmup)

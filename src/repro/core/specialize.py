@@ -1,18 +1,18 @@
-"""Config-specialized stepper: the main loop's *third gear*.
+"""Config-specialized stepper: the main loop's default gear.
 
-The reference stepper (:meth:`repro.core.processor.Processor.step`) and
-the event-horizon fast path both re-consult the machine configuration on
-every cycle - ``config.front_width``, the forward-delay policy, subset
-routing, the deadlock policy - although every one of those values is
-frozen for the lifetime of a run.  This module applies the classic
-trace-based *speculate / guard / commit* specialization pattern to the
-simulator itself: given a frozen :class:`~repro.config.MachineConfig`,
+The reference stepper (:meth:`repro.core.processor.Processor.step`)
+re-consults the machine configuration on every cycle -
+``config.front_width``, the forward-delay policy, subset routing, the
+deadlock policy - although every one of those values is frozen for the
+lifetime of a run.  This module applies the classic trace-based
+*speculate / guard / commit* specialization pattern to the simulator
+itself: given a frozen :class:`~repro.config.MachineConfig`,
 :func:`build_specialized_runner` generates Python source for a run loop
 with every configuration constant baked in as a literal, compiles it
 once with :func:`compile`/``exec``, and returns the generated function,
 which takes the :class:`~repro.core.processor.Processor` it runs as its
-first argument.  Processors engage this gear by default whenever no
-entry guard blocks it.
+first argument.  Processors run on this gear unless the reference gear
+is requested explicitly.
 
 What the generated stepper bakes in
 -----------------------------------
@@ -29,8 +29,10 @@ What the generated stepper bakes in
   busy-tracking code at all.
 
 It also flattens the per-cycle call tree (commit, wake/select, execute,
-rename, wake-up computation and the event-horizon jump detection) into
-one function frame with all hot state held in locals.  The scheduler
+rename, wake-up computation and the event-horizon jump) into one
+function frame with all hot state held in locals.  The jump detects
+cycles where the machine provably does nothing but charge one stall
+counter and moves the clock straight to the next event.  The scheduler
 structures themselves are the event-driven ones of
 :mod:`repro.core.issue_queue` - calendar buckets on the pending side,
 an age-sorted in-place ready list, and the memory/muldiv parking lists
@@ -38,22 +40,30 @@ an age-sorted in-place ready list, and the memory/muldiv parking lists
 with no conversion step, and the inlined wake/select/release loops are
 line-for-line the specialized rendering of the generic ones.
 
+Hooks
+-----
+
+A processor with attached hooks (``Processor._hooks``: a pipeline
+sanitizer, an observer/tracer, or both) runs a second, separately
+cached variant of the generated source.  It calls every hook at the
+reference stepper's dispatch, issue and commit sites, and before
+``on_cycle_end`` and the jump's ``on_cycle_skip`` it writes the hoisted
+locals back with the same text as the ``finally`` block, so the
+hooks - which only read machine state - see exactly what the reference
+stepper would show them.  The hook-free variant contains no hook code
+at all.
+
 Guards and the fallback contract
 --------------------------------
 
 Specialization *speculates* that the run stays inside the envelope the
-code was generated for.  Conditions outside it fall back to the generic
-gears without statistics divergence:
-
-* **entry guards** (:func:`specialization_blockers`): an attached
-  sanitizer or observer/tracer (their hooks must fire every cycle) and
-  paranoid per-uop read-legality checking.  A blocked processor simply
-  keeps the event-horizon gear.
-* **mid-run guard**: a deadlock-breaking move.  The generated code
-  executes the move cycle with exactly the reference semantics (charge,
-  debt carry-over, ``stats.deadlock_moves``), finishes the cycle, then
-  returns control permanently to the generic loop - no cycle is lost or
-  double-counted.
+code was generated for.  The one condition outside it is a
+deadlock-breaking move (the mid-run guard).  The generated code executes
+the move cycle with exactly the reference semantics (charge, debt
+carry-over, ``stats.deadlock_moves``, the cycle-end hooks), finishes the
+cycle, then returns control permanently to the reference stepper - no
+cycle is lost or double-counted.  Outstanding move debt at entry (only
+possible after such a trip) keeps the generated code out.
 
 Both renaming implementations are inside the envelope.  Implementation
 1 drives the renamer's :class:`~repro.rename.freelist.RotatingFreeList`
@@ -62,28 +72,30 @@ objects in place: ``begin_cycle``/``end_cycle`` around the rename stage
 group as the availability test, ``take()``/``recycle()`` for rename
 and commit, and the closed-form ``idle()`` over every jump.
 
-The acceptance bar is the same as the event horizon's: every
-``SimulationStats`` counter and per-cluster histogram bit-identical to
-the reference stepper, on every section-5 configuration
-(``tests/test_specialize.py`` pins this, plus a hypothesis property test
-over random configurations).
+The acceptance bar: every ``SimulationStats`` counter and per-cluster
+histogram bit-identical to the reference stepper, on every section-5
+configuration, with and without hooks (``tests/test_specialize.py``
+pins this, plus a hypothesis property test over random
+configurations).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from repro.config import MachineConfig
-from repro.core.uop import UNKNOWN_CYCLE, InFlightUop
 from repro.core.lsq import WORD_BYTES
+from repro.core.processor import _PROGRESS_LIMIT, DeadlockedPipeline
+from repro.core.uop import UNKNOWN_CYCLE, InFlightUop
 from repro.trace.model import FP_CLASSES, OpClass
 
-#: The three gears of the main loop, slowest to fastest.
-GEARS = ("reference", "horizon", "specialized")
+#: The two gears of the main loop, slowest to fastest.
+GEARS = ("reference", "specialized")
 
 #: Compiled stepper cache: generated source -> code object (the source
-#: itself is a complete key - it embeds every baked constant).
+#: itself is a complete key - it embeds every baked constant and the
+#: hooked/hook-free variant).
 _CODE_CACHE: Dict[str, object] = {}
 
 #: Name of the generated function - the stable analysis surface the
@@ -109,27 +121,6 @@ def generated_source_filename(config: MachineConfig) -> str:
     return f"<specialized:{config.name}>"
 
 
-def specialization_blockers(processor) -> List[str]:
-    """Why ``processor`` cannot run the specialized stepper (may be empty).
-
-    Each entry is a human-readable reason; an empty list means the
-    specialized envelope applies.  The conditions mirror the guard list
-    of the module docstring - anything that requires per-cycle hooks or
-    per-cycle mutable config-dependent state blocks specialization (the
-    run then stays on the horizon/reference gears, which support all of
-    them).
-    """
-    blockers: List[str] = []
-    if processor.sanitizer is not None:
-        blockers.append("sanitizer attached (per-cycle hooks)")
-    if processor.obs is not None:
-        blockers.append("observer/tracer attached (per-cycle hooks)")
-    if processor.check_invariants \
-            and processor.config.uses_read_specialization:
-        blockers.append("paranoid per-uop read-legality checks")
-    return blockers
-
-
 def _subset_exprs(config: MachineConfig):
     """Source expressions for subset routing, pruned per configuration."""
     if config.num_subsets > 1:
@@ -145,12 +136,14 @@ def _subset_exprs(config: MachineConfig):
             "FREE_INT": "0", "FREE_FP": "0"}
 
 
-def generate_stepper_source(config: MachineConfig) -> str:
+def generate_stepper_source(config: MachineConfig,
+                            hooked: bool = False) -> str:
     """The specialized run-loop source for ``config`` (pure function).
 
     Exposed for tests and debugging: the returned text is what
     :func:`build_specialized_runner` compiles, with every configuration
-    constant visible as a literal.
+    constant visible as a literal.  ``hooked`` selects the variant that
+    calls the processor's hooks (see the module docstring).
     """
     cluster = config.cluster
     nc = config.num_clusters
@@ -161,7 +154,7 @@ def generate_stepper_source(config: MachineConfig) -> str:
     cluster_range = tuple(range(nc))
     lat_size = max(int(op) for op in OpClass) + 1
     no_event = UNKNOWN_CYCLE
-    progress_limit = 100_000  # mirrors processor._PROGRESS_LIMIT
+    progress_limit = _PROGRESS_LIMIT
     l1 = config.memory.l1
     l1_off = l1.line_bytes.bit_length() - 1
     l1_mask = l1.num_sets - 1
@@ -470,6 +463,96 @@ def generate_stepper_source(config: MachineConfig) -> str:
                         stats.deadlock_moves = (renamer.deadlock_moves
                                                 - measured_base)"""
 
+    # The ``finally`` writeback.  The hooked variant also runs it before
+    # each cycle-boundary hook, so those hooks read current state; the
+    # per-uop hooks read only the micro-op and state mutated in place.
+    writeback = f'''\
+        proc.cycle = cycle
+        proc._seq = seq_counter
+        proc._move_debt = move_debt
+        proc._rename_blocked_until = rename_blocked_until
+        proc._waiting_branch = waiting_branch
+        proc._pending_decision = pending_decision
+        proc.horizon_jumps = jumps
+        proc.horizon_cycles_skipped = jump_skipped
+        if pend_inst is None:
+            frontend._pending = None
+        else:
+            frontend._pending = Fetched(pend_inst, pend_misp)
+        frontend._exhausted = fe_exhausted
+        frontend.branches = fe_branches
+        frontend.mispredictions = fe_mispredicts
+        frontend.delivered = delivered
+        memory.loads = mem_loads
+        memory.stores = mem_stores
+        memory.l1.hits = l1_hits
+{writeback_alloc}
+        memorder._issued_upto = issued_upto
+        memorder._next_index = next_mem_index
+        renamer.renamed = renamed
+        renamer.reg_stalls = reg_stalls
+        for _ci in {cluster_range}:
+            schedulers[_ci].inflight = inflights[_ci]
+            schedulers[_ci]._pending_size = sum(
+                map(len, buckets[_ci].values()))
+        balance._filled = bfilled
+        balance.groups_total = bt_total
+        balance.groups_unbalanced = bt_unb
+        stats.groups_total = sg_total
+        stats.groups_unbalanced = sg_unb
+        stats.cycles = cycles
+        stats.committed = committed
+        stats.dispatched = dispatched
+        stats.issued = issued
+        stats.branches = branches
+        stats.mispredictions = mispredictions
+        stats.loads = loads
+        stats.stores = stores
+        stats.store_forwards = store_forwards
+        stats.bypass_edges_intra = bypass_intra
+        stats.bypass_edges_inter = bypass_inter
+        stats.l1_misses = l1_misses
+        stats.l2_misses = l2_misses
+        stats.stall_rob_full = stall_rob
+        stats.stall_cluster_full = stall_cluster
+        stats.stall_no_register = stall_noreg
+        stats.stall_branch_penalty = stall_branch
+        stats.stall_deadlock_moves = stall_moves
+        stats.swapped_forms = swapped_forms
+'''
+    if hooked:
+        entry_guard = "    if proc._move_debt:"
+        localize_hooks = "    hooks = proc._hooks\n"
+        commit_hooks = """\
+                        for _h in hooks:
+                            _h.on_commit(uop, cycle)
+"""
+        issue_hooks = """\
+                        for _h in hooks:
+                            _h.on_issue(uop, cycle)
+"""
+        dispatch_hooks = """
+                    for _h in hooks:
+                        _h.on_dispatch(uop, cycle)"""
+        synced = "".join("        " + line if line.strip() else line
+                         for line in writeback.splitlines(True))
+        cycle_end_hooks = synced + """\
+                for _h in hooks:
+                    _h.on_cycle_end(cycle)
+"""
+        skip_hooks = """\
+                _stall_tag = ("branch", "rob", "cluster", "exhausted")[stall]
+""" + synced + """\
+                for _h in hooks:
+                    _h.on_cycle_skip(cycle, horizon, _stall_tag)
+"""
+    else:
+        entry_guard = """\
+    if proc.sanitizer is not None or proc.obs is not None \\
+            or proc._move_debt:"""
+        localize_hooks = commit_hooks = issue_hooks = dispatch_hooks = ""
+        cycle_end_hooks = skip_hooks = ""
+
     src = f'''\
 def _specialized_run(proc, committed_target):
     """Specialized run loop for configuration {config.name!r}.
@@ -480,11 +563,10 @@ def _specialized_run(proc, committed_target):
     machine state is written back either way (try/finally), so a
     fallback resumes mid-run without divergence.
     """
-    if proc.sanitizer is not None or proc.obs is not None \\
-            or proc._move_debt:
+{entry_guard}
         return False
     stats = proc.stats
-    renamer = proc.renamer
+{localize_hooks}    renamer = proc.renamer
     frontend = proc.frontend
     trace_iter = frontend._trace
     resolve = frontend.predictor.resolve
@@ -676,7 +758,7 @@ def _specialized_run(proc, committed_target):
                         if uop.result_cycle > cycle:
                             break
                         rob_popleft()
-                        pdest = uop.pdest
+{commit_hooks}                        pdest = uop.pdest
                         if pdest is not None:
                             if pdest < {config.int_physical_registers}:
                                 int_out[{sub['RET_INT']}] -= 1
@@ -803,7 +885,7 @@ def _specialized_run(proc, committed_target):
                         uop.issue_cycle = cycle
                         _rc = cycle + _lat
                         uop.result_cycle = _rc
-{muldiv_exec}
+{issue_hooks}{muldiv_exec}
                         issued += 1
                         cluster_issued[_ci] += 1
                         pdest = uop.pdest
@@ -947,7 +1029,7 @@ def _specialized_run(proc, committed_target):
                     uop.mem_index = mem_index
                     if pdest is not None:
                         reg_result[pdest] = {UNKNOWN_CYCLE}
-                        reg_cluster[pdest] = cluster
+                        reg_cluster[pdest] = cluster{dispatch_hooks}
                     # -- wake-up computation (inlined) -----------------
                     _earliest = cycle + 1
                     _waiting = 0
@@ -1021,7 +1103,7 @@ def _specialized_run(proc, committed_target):
                     if misp:
                         break
 
-{end_stage}                cycles += 1
+{end_stage}{cycle_end_hooks}                cycles += 1
                 cycle += 1
 {tripped_check}
             else:
@@ -1051,7 +1133,7 @@ def _specialized_run(proc, committed_target):
                     stall_rob += {config.front_width} * skipped
                 elif stall == 2:
                     stall_cluster += {config.front_width} * skipped
-                cycles += skipped
+{skip_hooks}                cycles += skipped
                 cycle = horizon
                 jumps += 1
                 jump_skipped += skipped
@@ -1067,79 +1149,26 @@ def _specialized_run(proc, committed_target):
                         "events at cycle %d" % (idle_events, cycle))
         return True
     finally:
-        proc.cycle = cycle
-        proc._seq = seq_counter
-        proc._move_debt = move_debt
-        proc._rename_blocked_until = rename_blocked_until
-        proc._waiting_branch = waiting_branch
-        proc._pending_decision = pending_decision
-        proc.horizon_jumps = jumps
-        proc.horizon_cycles_skipped = jump_skipped
-        if pend_inst is None:
-            frontend._pending = None
-        else:
-            frontend._pending = Fetched(pend_inst, pend_misp)
-        frontend._exhausted = fe_exhausted
-        frontend.branches = fe_branches
-        frontend.mispredictions = fe_mispredicts
-        frontend.delivered = delivered
-        memory.loads = mem_loads
-        memory.stores = mem_stores
-        memory.l1.hits = l1_hits
-{writeback_alloc}
-        memorder._issued_upto = issued_upto
-        memorder._next_index = next_mem_index
-        renamer.renamed = renamed
-        renamer.reg_stalls = reg_stalls
-        for _ci in {cluster_range}:
-            schedulers[_ci].inflight = inflights[_ci]
-            schedulers[_ci]._pending_size = sum(
-                map(len, buckets[_ci].values()))
-        balance._filled = bfilled
-        balance.groups_total = bt_total
-        balance.groups_unbalanced = bt_unb
-        stats.groups_total = sg_total
-        stats.groups_unbalanced = sg_unb
-        stats.cycles = cycles
-        stats.committed = committed
-        stats.dispatched = dispatched
-        stats.issued = issued
-        stats.branches = branches
-        stats.mispredictions = mispredictions
-        stats.loads = loads
-        stats.stores = stores
-        stats.store_forwards = store_forwards
-        stats.bypass_edges_intra = bypass_intra
-        stats.bypass_edges_inter = bypass_inter
-        stats.l1_misses = l1_misses
-        stats.l2_misses = l2_misses
-        stats.stall_rob_full = stall_rob
-        stats.stall_cluster_full = stall_cluster
-        stats.stall_no_register = stall_noreg
-        stats.stall_branch_penalty = stall_branch
-        stats.stall_deadlock_moves = stall_moves
-        stats.swapped_forms = swapped_forms
-'''
+{writeback}'''
     return src
 
 
-def build_specialized_runner(processor) -> Optional[Callable[..., bool]]:
-    """Compile the specialized stepper for ``processor``; None if blocked.
+def build_specialized_runner(processor) -> Callable[..., bool]:
+    """Compile the specialized stepper for ``processor``.
 
-    The returned function has the signature ``run(processor,
-    committed_target) -> bool``: True when the target was reached (or the
-    trace drained) inside the specialized envelope, False when a guard
-    tripped and the caller must fall back to the generic gears (all
-    machine state has already been written back).  It holds no
-    reference to ``processor``, so storing it on the processor creates
-    no reference cycle.
+    The variant follows the processor's attached hooks.  The returned
+    function has the signature ``run(processor, committed_target) ->
+    bool``: True when the target was reached (or the trace drained)
+    inside the specialized envelope, False when a guard tripped and the
+    caller must continue on the reference stepper (all machine state has
+    already been written back).  It holds no reference to
+    ``processor``, so storing it on the processor creates no reference
+    cycle.
     """
-    from repro.core.processor import DeadlockedPipeline
     from repro.frontend.fetch import FetchedInstruction
 
-    if specialization_blockers(processor):
-        return None
-    source = generate_stepper_source(processor.config)
+    source = generate_stepper_source(processor.config,
+                                     hooked=bool(processor._hooks))
     code = _CODE_CACHE.get(source)
     if code is None:
         code = compile(source,

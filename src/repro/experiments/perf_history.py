@@ -36,7 +36,7 @@ DEFAULT_HISTORY = "BENCH_history.jsonl"
 DEFAULT_TOLERANCE = 0.5
 
 #: The per-cell keys copied from a profile record into a history line.
-_GEAR_KEYS = ("reference_kips", "event_horizon_kips", "specialized_kips")
+_GEAR_KEYS = ("reference_kips", "specialized_kips")
 
 
 def git_revision(default: str = "unknown") -> str:

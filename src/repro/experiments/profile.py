@@ -2,31 +2,30 @@
 
 Where :mod:`repro.experiments.throughput` measures the *sweep engine*
 (cells/min across a process pool), this module measures the *core
-simulation loop* itself: one cell per section-5 configuration, run three
-times on the same pre-materialised trace - reference per-cycle stepper,
-event-horizon fast path, and the config-specialized stepper
-(:mod:`repro.core.specialize`) - and cross-checked for bit-identical
-statistics.  The record keeps the speedups tracked artifacts instead of
-claims:
+simulation loop* itself: one cell per section-5 configuration, run twice
+on the same pre-materialised trace - reference per-cycle stepper and
+the config-specialized stepper (:mod:`repro.core.specialize`) - and
+cross-checked for bit-identical statistics.  The record keeps the
+speedups tracked artifacts instead of claims:
 
 * **sim-KIPS per gear** - thousands of simulated instructions retired
-  per second of wall-clock, for each of the three gears;
-* **speedup** - event-horizon/reference and specialized/reference
-  ratios, plus how often the horizon fires and what it saves;
+  per second of wall-clock, for each of the two gears;
+* **speedup** - the specialized/reference ratio, plus how often the
+  specialized gear's event-horizon jump fires and what it saves;
 * **identical** - full ``SimulationStats`` summary plus the per-cluster
-  histograms compared across all three gears (any divergence is a bug,
-  and the CLI exits non-zero);
-* **stage breakdown** - cProfile over one event-horizon run, split into
-  the pipeline stages (commit/issue/rename/horizon, with the
-  scheduler's select and wake peeled out of issue as their own stages)
-  plus the hottest individual functions (the specialized gear is one
-  generated frame, so stage attribution only exists for the generic
-  gears).
+  histograms compared across both gears (any divergence is a bug, and
+  the CLI exits non-zero);
+* **stage breakdown** - cProfile over one reference-gear run, split
+  into the pipeline stages (commit/issue/rename, with the scheduler's
+  select and wake peeled out of issue as their own stages) plus the
+  hottest individual functions (the specialized gear is one generated
+  frame, so stage attribution only exists for the reference gear,
+  whose stages are methods).
 
 The default trace is **mcf** on every configuration: it is the suite's
 most stall-dominated workload (mispredict rate within noise of gcc's
 top rate, plus pointer-chase memory misses), i.e. the cell where dead
-cycles - and therefore the event horizon - matter most.
+cycles - and therefore the event-horizon jump - matter most.
 
 ``python -m repro profile [--quick] [--out PATH]`` writes the JSON
 record; the CI perf-smoke job archives it and fails on divergence or on
@@ -63,8 +62,8 @@ TRACE_SLACK = 8_192
 
 #: Pipeline-stage attribution for the cProfile breakdown: method name ->
 #: (stage label, filename fragment).  ``_commit``/``_issue``/
-#: ``_rename_and_dispatch``/``_try_jump`` are the four top-level phases
-#: of the main loop; the scheduler's ``select`` and ``wake`` are nested
+#: ``_rename_and_dispatch`` are the three top-level phases of the main
+#: loop; the scheduler's ``select`` and ``wake`` are nested
 #: inside ``_issue`` (and ``wake`` inside ``select``), so their
 #: cumulative times are *subtracted out* of their callers below -
 #: scheduler work reports as its own stage and the stages partition a
@@ -73,7 +72,6 @@ _STAGE_METHODS = {
     "_commit": ("commit", "processor"),
     "_issue": ("issue", "processor"),
     "_rename_and_dispatch": ("rename", "processor"),
-    "_try_jump": ("horizon", "processor"),
     "select": ("select", "issue_queue"),
     "wake": ("wake", "issue_queue"),
 }
@@ -93,11 +91,7 @@ def _fingerprint(stats: SimulationStats) -> Tuple:
 def _timed_run(config: MachineConfig, trace: Sequence,
                measure: int, warmup: int,
                gear: str) -> Tuple[Processor, SimulationStats, float]:
-    # check_invariants off, matching sweep cells (RunSpec's default) -
-    # and required for the specialized gear to engage on WSRS
-    # configurations (the paranoid per-uop checks are an entry guard).
-    processor = Processor(config, iter(trace), gear=gear,
-                          check_invariants=False)
+    processor = Processor(config, iter(trace), gear=gear)
     start = time.perf_counter()
     stats = processor.run(measure=measure, warmup=warmup)
     return processor, stats, time.perf_counter() - start
@@ -106,8 +100,8 @@ def _timed_run(config: MachineConfig, trace: Sequence,
 def _stage_breakdown(config: MachineConfig, trace: Sequence,
                      measure: int, warmup: int,
                      top: int = 12) -> Dict:
-    """cProfile one event-horizon run and split it into pipeline stages."""
-    processor = Processor(config, iter(trace), gear="horizon")
+    """cProfile one reference-gear run and split it into pipeline stages."""
+    processor = Processor(config, iter(trace), gear="reference")
     profiler = cProfile.Profile()
     profiler.enable()
     processor.run(measure=measure, warmup=warmup)
@@ -177,37 +171,28 @@ def run(
     for config in configs:
         _, ref_stats, ref_seconds = _timed_run(
             config, trace, measure, warmup, gear="reference")
-        fast_proc, fast_stats, fast_seconds = _timed_run(
-            config, trace, measure, warmup, gear="horizon")
         spec_proc, spec_stats, spec_seconds = _timed_run(
             config, trace, measure, warmup, gear="specialized")
-        ref_print = _fingerprint(ref_stats)
-        identical = (ref_print == _fingerprint(fast_stats)
-                     and ref_print == _fingerprint(spec_stats))
+        identical = _fingerprint(ref_stats) == _fingerprint(spec_stats)
         all_identical &= identical
-        simulated = fast_stats.committed + warmup
+        simulated = spec_stats.committed + warmup
         cells.append({
             "config": config.name,
             "identical": identical,
-            "ipc": round(fast_stats.ipc, 4),
-            "cycles": fast_stats.cycles,
+            "ipc": round(spec_stats.ipc, 4),
+            "cycles": spec_stats.cycles,
             "reference_s": round(ref_seconds, 3),
-            "event_horizon_s": round(fast_seconds, 3),
             "specialized_s": round(spec_seconds, 3),
             "reference_kips": round(simulated / ref_seconds / 1000.0, 1)
             if ref_seconds else 0.0,
-            "event_horizon_kips": round(simulated / fast_seconds / 1000.0, 1)
-            if fast_seconds else 0.0,
             "specialized_kips": round(simulated / spec_seconds / 1000.0, 1)
             if spec_seconds else 0.0,
-            "speedup": round(ref_seconds / fast_seconds, 2)
-            if fast_seconds else 0.0,
             "specialized_speedup": round(ref_seconds / spec_seconds, 2)
             if spec_seconds else 0.0,
             "specialized_gear": spec_proc.gear,
             "despecializations": spec_proc.despecializations,
-            "horizon_jumps": fast_proc.horizon_jumps,
-            "cycles_skipped": fast_proc.horizon_cycles_skipped,
+            "horizon_jumps": spec_proc.horizon_jumps,
+            "cycles_skipped": spec_proc.horizon_cycles_skipped,
         })
 
     breakdown = _stage_breakdown(configs[0], trace, measure, warmup)
@@ -236,15 +221,13 @@ def format_record(record: Dict, out: Optional[str] = None) -> str:
         f"core profile: {record['benchmark']} "
         f"({record['measure']:,} measured / {record['warmup']:,} warm-up"
         f"{', quick' if record['quick'] else ''})",
-        f"  {'config':<16s}{'ref KIPS':>10s}{'horizon':>9s}"
-        f"{'special':>9s}{'h-speed':>9s}{'s-speed':>9s}  identical",
+        f"  {'config':<16s}{'ref KIPS':>10s}"
+        f"{'special':>9s}{'s-speed':>9s}  identical",
     ]
     for cell in record["cells"]:
         lines.append(
             f"  {cell['config']:<16s}{cell['reference_kips']:>10.1f}"
-            f"{cell['event_horizon_kips']:>9.1f}"
             f"{cell['specialized_kips']:>9.1f}"
-            f"{cell['speedup']:>8.2f}x"
             f"{cell['specialized_speedup']:>8.2f}x  "
             f"{'yes' if cell['identical'] else 'NO - DIVERGED'}")
     stages = record["stage_breakdown"]["stages_cum_s"]
@@ -253,8 +236,8 @@ def format_record(record: Dict, out: Optional[str] = None) -> str:
                           for name, seconds in sorted(stages.items()))
         lines.append(f"  stage cumtime: {split}")
     if not record["identical"]:
-        lines.append("  GOLDEN EQUIVALENCE FAILED: event-horizon statistics "
-                     "diverge from the reference stepper")
+        lines.append("  GOLDEN EQUIVALENCE FAILED: specialized-gear "
+                     "statistics diverge from the reference stepper")
     if out:
         lines.append(f"  wrote {out}")
     return "\n".join(lines)

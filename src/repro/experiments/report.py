@@ -201,7 +201,7 @@ def _stacks_section(inputs: ReportInputs) -> List[str]:
         "the cycle accountant of `repro.obs` (`wsrs stacks`; taxonomy in",
         "`docs/observability.md`).  Stacks sum to 100 % of each run's",
         "cycles bit-exactly and are identical under the reference stepper",
-        "and the event-horizon fast path.",
+        "and the specialized gear.",
         "",
     ]
     table = stacks.collect(benchmarks=("mcf", "gzip"),

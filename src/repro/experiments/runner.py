@@ -38,7 +38,7 @@ import signal
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
     Sequence, Set
 
@@ -67,29 +67,19 @@ class RunSpec:
     warmup: int = DEFAULT_WARMUP
     seed: int = 1
     predictor: str = "2bcgskew"
-    #: Per-uop read-legality assertions in the renamer.  Off by default
-    #: in sweep cells - they are pure overhead there, and legality stays
-    #: covered by the sanitized CI smoke; ``wsrs simulate --paranoid``
-    #: turns them back on for one-off runs.
-    check_invariants: bool = False
     #: Run under the cycle-level pipeline sanitizer
     #: (:mod:`repro.verify.sanitizer`).  ``False`` still honours the
     #: ``WSRS_SANITIZE`` environment switch in the worker process.
     sanitize: bool = False
-    #: Allow the fast gears (bit-identical statistics; see
-    #: :mod:`repro.core.processor`).  ``False`` forces the reference
-    #: per-cycle stepper when :attr:`gear` is ``None``.
-    fast_path: bool = True
     #: Attach the observability layer (:mod:`repro.obs`): CPI-stack
     #: cycle accounting plus the counter/histogram registry.  The
     #: result then carries :attr:`RunResult.obs`; every statistic stays
     #: bit-identical to an unobserved run.
     observe: bool = False
-    #: Explicit main-loop gear ("reference" | "horizon" | "specialized");
-    #: ``None`` runs the fastest gear the cell admits - specialized
-    #: unless an entry guard blocks it, else horizon, else reference.
-    #: The specialized gear falls back to the generic loop when its
-    #: guards block or trip (statistics stay bit-identical either way);
+    #: Explicit main-loop gear ("reference" | "specialized"); ``None``
+    #: runs the specialized gear.  The specialized gear hands the rest
+    #: of a run to the reference stepper when its mid-run guard trips
+    #: (statistics stay bit-identical either way);
     #: :attr:`RunResult.gear` records the gear that finished the run.
     gear: Optional[str] = None
 
@@ -109,12 +99,9 @@ class RunResult:
     #: when the spec asked for ``observe=True``; None otherwise.
     obs: Optional[dict] = None
     #: Gear provenance, kept out of ``stats`` (whose summary the golden
-    #: digests cover): the gear that finished the run, the specialized
-    #: gear's entry-guard blockers for this cell whatever gear was
-    #: requested (empty when it admits the cell), and how many mid-run
-    #: guard trips left it.
+    #: digests cover): the gear that finished the run and how many
+    #: mid-run guard trips left the specialized gear.
     gear: Optional[str] = None
-    blockers: List[str] = field(default_factory=list)
     despecializations: int = 0
 
     @property
@@ -179,23 +166,16 @@ def sigterm_interrupts() -> Iterator[None]:
 
 def execute(spec: RunSpec) -> RunResult:
     """Run one simulation to completion (the pool worker entry point)."""
-    # Imported here, like the processor's own gear build: the code
-    # generator stays off the start-up path of every command.
-    from repro.core.specialize import specialization_blockers
-
     trace = cached_spec_trace(spec.benchmark, spec.trace_length,
                               seed=spec.seed)
     processor = Processor(spec.config, trace,
                           predictor=make_predictor(spec.predictor),
-                          check_invariants=spec.check_invariants,
                           sanitize=True if spec.sanitize else None,
-                          fast_path=spec.fast_path,
                           observe=spec.observe,
                           gear=spec.gear)
     stats = processor.run(measure=spec.measure, warmup=spec.warmup)
     obs = processor.obs.snapshot() if processor.obs is not None else None
     return RunResult(spec=spec, stats=stats, obs=obs, gear=processor.gear,
-                     blockers=specialization_blockers(processor),
                      despecializations=processor.despecializations)
 
 

@@ -93,9 +93,6 @@ def run(
         "measure": measure,
         "warmup": warmup,
         "seed": seed,
-        # Which core-loop gear the cells ran on (see BENCH_core.json for
-        # the dedicated reference-vs-horizon comparison).
-        "fast_path": all(spec.fast_path for spec in specs),
         "distinct_traces": distinct_traces,
         "phases": {
             "trace_warm_s": round(warm_seconds, 3),

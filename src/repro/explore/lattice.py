@@ -78,7 +78,7 @@ _STEERING_TAGS = {"round_robin": "rr", "random_commutative": "rc",
 #: use implementation 2 at 18 cycles; the paper reports the two as
 #: indistinguishable, and implementation 1 keeps the lattice's
 #: fixed-clock delay axis from charging WSRS twice for a pipeline the
-#: complexity model already prices).  Both fast gears run either
+#: complexity model already prices).  The specialized gear runs either
 #: implementation, so the choice costs no simulation speed.
 _PENALTIES = {"none": 17, "ws": 16, "wsrs": 16}
 _RENAME_IMPLS = {"none": 2, "ws": 2, "wsrs": 1}

@@ -4,7 +4,7 @@ Reads the JSONL stream of :mod:`repro.obs.tracer` (plain or gzipped),
 validates the schema version, and answers the post-hoc questions an
 aggregate statistics bundle cannot: how long did dispatched micro-ops
 wait to issue inside the sampled window, which clusters did the work,
-what did the event-horizon jump over.
+what did the specialized gear's event-horizon jumps skip.
 
 The analyzer is a single pass over the stream - a trace never needs to
 fit in memory beyond the in-flight join of dispatch/issue/commit events

@@ -25,12 +25,12 @@ counters moved during that cycle and applies a fixed priority order:
 5. no counter moved at all       -> ``drain`` (the end-of-trace drain is
    the only state where rename returns without charging).
 
-Why this is gear-invariant (identical under the event-horizon fast
-path): a jump only replaces cycles in which nothing commits, dispatches,
-issues or moves, the ROB head is frozen, and the *same* stall counter is
-charged every cycle of the window - exactly one classification rule
-matches every cycle of the window, and it is the rule
-:meth:`CycleAccountant.jump_cause` applies once, multiplied by the
+Why this is gear-invariant (identical under the specialized gear's
+event-horizon jump): a jump only replaces cycles in which nothing
+commits, dispatches, issues or moves, the ROB head is frozen, and the
+*same* stall counter is charged every cycle of the window - exactly one
+classification rule matches every cycle of the window, and it is the
+rule :meth:`CycleAccountant.jump_cause` applies once, multiplied by the
 window length.  ``tests/test_obs_cpi.py`` pins both the gear equality
 and the sum-to-total-cycles identity on the six section-5
 configurations.
@@ -122,7 +122,7 @@ class CycleAccountant:
     def jump_cause(stall: str, rob_head) -> str:
         """The (single) cause of every cycle in an event-horizon window.
 
-        ``stall`` is the fast path's stall tag - the same value that
+        ``stall`` is the jump's stall tag - the same value that
         selects which stall counter the jump bulk-charges - so this maps
         exactly onto what :meth:`classify` would have returned for each
         cycle of the window.

@@ -2,19 +2,23 @@
 tracer to one :class:`~repro.core.processor.Processor`.
 
 The processor calls the observer through the same five hook points as the
-pipeline sanitizer (dispatch, issue, commit, cycle end, cycle skip), each
-behind a single ``is not None`` check - with observability off the whole
-layer costs one attribute test per hook site.  With it on, the observer
+pipeline sanitizer (dispatch, issue, commit, cycle end, cycle skip), on
+either gear: the reference stepper loops over ``Processor._hooks``, and
+the specialized gear switches to its hooked variant (with no hooks
+attached the reference stepper loops over an empty tuple and the
+specialized gear runs its hook-free variant).  With it on, the observer
 only *reads* public simulator state (it never draws randomness, never
 mutates machine state, never forces a code path), which is what makes the
 layer bit-neutral; ``tests/test_obs_cpi.py`` pins the neutrality on every
 section-5 configuration.
 
-Gear invariance (identical snapshots under the event-horizon fast path)
-follows from the fast path's own correctness argument: a jump only
-replaces cycles in which every quantity the observer samples - ROB and
-scheduler occupancies, free-list depths, outstanding stores, per-cycle
-bandwidth deltas (all zero) - is provably frozen, so
+Gear invariance (identical snapshots under the specialized gear's
+event-horizon jump) follows from the jump's own correctness argument:
+the hooked stepper writes its hoisted state back before every cycle-end
+and skip hook, and a jump only replaces cycles in which every quantity
+the observer samples - ROB and scheduler occupancies, free-list depths,
+outstanding stores, per-cycle bandwidth deltas (all zero) - is provably
+frozen, so
 :meth:`Observer.on_cycle_skip` records the frozen values once with
 ``weight=skipped`` instead of ``skipped`` times with weight 1.  The one
 exception is the free-list depth under renaming implementation 1, which
@@ -34,7 +38,7 @@ The snapshot layout (all plain picklable data)::
     }
 
 Everything outside ``engine`` is identical between the reference stepper
-and the fast path.
+and the specialized gear.
 """
 
 from __future__ import annotations
@@ -111,12 +115,12 @@ class Observer:
     def on_cycle_skip(self, cycle: int, horizon: int, stall: str) -> None:
         """Account a bulk-charged event-horizon window of dead cycles.
 
-        Called after the fast path has bulk-charged its stall counter but
-        before ``stats.cycles`` and the renamer advance; every sampled
-        value below is frozen across the window (implementation-1 free
-        lists excepted, whose series the renamer computes), so weighted
-        records reproduce the reference stepper's per-cycle series
-        exactly.
+        Called after the specialized gear has bulk-charged its stall
+        counter but before ``stats.cycles`` and the renamer advance;
+        every sampled value below is frozen across the window
+        (implementation-1 free lists excepted, whose series the renamer
+        computes), so weighted records reproduce the reference stepper's
+        per-cycle series exactly.
         """
         skipped = horizon - cycle
         processor = self.processor
@@ -193,7 +197,7 @@ class Observer:
                 "groups_unbalanced": stats.groups_unbalanced,
             },
             "engine": {
-                "fast_path": processor.fast_path,
+                "gear": processor.gear,
                 "horizon_jumps": processor.horizon_jumps,
                 "horizon_cycles_skipped": processor.horizon_cycles_skipped,
             },
@@ -203,9 +207,9 @@ class Observer:
 def gear_invariant_view(snapshot: Dict[str, object]) -> Dict[str, object]:
     """The parts of a snapshot that must match across simulator gears.
 
-    Everything except ``engine`` (jump counts are, by definition, a
-    property of the fast path).  Used by the stacks driver's invariant
-    check and by ``tests/test_obs_cpi.py``.
+    Everything except ``engine`` (the gear and its jump counts).  Used
+    by the stacks driver's invariant check and by
+    ``tests/test_obs_cpi.py``.
     """
     return {key: value for key, value in snapshot.items()
             if key != "engine"}

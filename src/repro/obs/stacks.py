@@ -11,7 +11,7 @@ observability off - and fails loudly unless:
 
 * every stack sums *bit-exactly* to the run's total cycles;
 * the gear-invariant snapshot view is identical between the reference
-  stepper and the event-horizon fast path;
+  stepper and the specialized gear;
 * the observability-off statistics are bit-identical to the
   observability-on statistics (the layer is a pure reader).
 
@@ -35,11 +35,11 @@ DEFAULT_BENCHMARKS = ("gzip", "mcf")
 
 
 def _specs(benchmarks: Sequence[str], measure: int, warmup: int,
-           seed: int, fast_path: bool, observe: bool) -> List[RunSpec]:
+           seed: int, gear: Optional[str],
+           observe: bool) -> List[RunSpec]:
     return [
         RunSpec(config=config, benchmark=benchmark, measure=measure,
-                warmup=warmup, seed=seed, fast_path=fast_path,
-                observe=observe)
+                warmup=warmup, seed=seed, gear=gear, observe=observe)
         for benchmark in benchmarks
         for config in figure4_configs()
     ]
@@ -47,10 +47,9 @@ def _specs(benchmarks: Sequence[str], measure: int, warmup: int,
 
 def collect(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
             measure: int = 20_000, warmup: int = 20_000, seed: int = 1,
-            workers: Optional[int] = None,
-            fast_path: bool = True) -> Dict[str, Dict[str, RunResult]]:
+            workers: Optional[int] = None) -> Dict[str, Dict[str, RunResult]]:
     """Observed runs for every (benchmark, section-5 config) cell."""
-    specs = _specs(benchmarks, measure, warmup, seed, fast_path,
+    specs = _specs(benchmarks, measure, warmup, seed, gear=None,
                    observe=True)
     results = execute_many(specs, workers=workers)
     table: Dict[str, Dict[str, RunResult]] = {}
@@ -102,33 +101,35 @@ def verify_invariants(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
                       seed: int = 1,
                       workers: Optional[int] = None) -> List[str]:
     """The acceptance checks, as data: a list of violations (empty = ok)."""
-    fast = _specs(benchmarks, measure, warmup, seed, fast_path=True,
-                  observe=True)
-    reference = _specs(benchmarks, measure, warmup, seed, fast_path=False,
-                       observe=True)
-    plain = _specs(benchmarks, measure, warmup, seed, fast_path=True,
+    specialized = _specs(benchmarks, measure, warmup, seed, gear=None,
+                         observe=True)
+    reference = _specs(benchmarks, measure, warmup, seed,
+                       gear="reference", observe=True)
+    plain = _specs(benchmarks, measure, warmup, seed, gear=None,
                    observe=False)
-    results = execute_many(fast + reference + plain, workers=workers)
-    cells = len(fast)
+    results = execute_many(specialized + reference + plain,
+                           workers=workers)
+    cells = len(specialized)
     problems: List[str] = []
     for index in range(cells):
-        on_fast = results[index]
+        on_spec = results[index]
         on_ref = results[cells + index]
         off = results[2 * cells + index]
-        label = (f"{on_fast.spec.benchmark} / "
-                 f"{on_fast.spec.config.name}")
-        for result, gear in ((on_fast, "fast"), (on_ref, "reference")):
+        label = (f"{on_spec.spec.benchmark} / "
+                 f"{on_spec.spec.config.name}")
+        for result, gear in ((on_spec, "specialized"),
+                             (on_ref, "reference")):
             total = sum(result.obs["causes"].values())
             if total != result.stats.cycles:
                 problems.append(
                     f"{label} [{gear}]: CPI stack sums to {total}, "
                     f"simulated cycles {result.stats.cycles}")
-        if (gear_invariant_view(on_fast.obs)
+        if (gear_invariant_view(on_spec.obs)
                 != gear_invariant_view(on_ref.obs)):
             problems.append(
                 f"{label}: observability snapshot differs between the "
-                f"reference stepper and the event-horizon fast path")
-        if on_fast.stats.summary() != off.stats.summary():
+                f"reference stepper and the specialized gear")
+        if on_spec.stats.summary() != off.stats.summary():
             problems.append(
                 f"{label}: statistics with observability on differ from "
                 f"the observability-off run (the layer is not neutral)")
@@ -153,7 +154,7 @@ def run(benchmarks: Optional[Sequence[str]] = None,
         if problems:
             return 1
         print(f"stacks --quick: {len(benchmarks) * 6} cells x "
-              f"(obs fast / obs reference / plain) - stacks sum to "
+              f"(obs specialized / obs reference / plain) - stacks sum to "
               f"cycles, gears identical, statistics bit-neutral")
     table = collect(benchmarks, measure=measure, warmup=warmup,
                     seed=seed, workers=workers)

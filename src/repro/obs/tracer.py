@@ -23,9 +23,10 @@ Sampling is by cycle window: ``start`` delays the first sample,
 ``every`` repeats a ``window``-cycle sample at that period (a classic
 sampled-simulation shape).  The tracer only *observes* - dispatch,
 issue and commit never happen inside an event-horizon dead window, so
-``D``/``I``/``R`` streams are identical between the two simulator
-gears; ``J`` records are fast-path diagnostics by nature
-(:mod:`repro.obs.analyzer` treats them as engine metadata).
+``D``/``I``/``R`` streams are identical between the reference and the
+specialized gear; ``J`` records are the specialized gear's jump
+diagnostics by nature (:mod:`repro.obs.analyzer` treats them as engine
+metadata).
 
 Use it as a context manager around the simulation it observes::
 

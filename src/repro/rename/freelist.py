@@ -54,7 +54,8 @@ rotates by ``width``) or a *pure shift* (``avail <= width`` and every
 batch at most ``width``: the state has period ``depth + 1`` and rotates
 by the subset's total per period) - so :meth:`RotatingFreeList.idle`
 advances any number of idle cycles with O(depth) integer steps and one
-rotation.  The event-horizon gears use it to skip dead windows.
+rotation.  The specialized gear's event-horizon jump uses it to skip
+dead windows.
 """
 
 from __future__ import annotations

@@ -169,14 +169,6 @@ class Renamer:
         for flist in self._rotating:
             flist.end_cycle()
 
-    def idle(self, cycles: int) -> None:
-        """Advance ``cycles`` cycles in which nothing renames or commits
-        (an event-horizon window): implementation 1 keeps staging and
-        recycling; implementation 2 has nothing to do."""
-        width = self._width
-        for flist in self._rotating:
-            flist.idle(width, cycles)
-
     def idle_free_counts(self, file_id: int,
                          cycles: int) -> List[Dict[int, int]]:
         """Per subset, how many of the next ``cycles`` idle cycles end

@@ -99,9 +99,10 @@ class PipelineSanitizer:
     """Shadow checker for one :class:`repro.core.processor.Processor`.
 
     The processor calls the hooks (:meth:`on_dispatch`, :meth:`on_issue`,
-    :meth:`on_commit`, :meth:`on_cycle_end`); the sanitizer keeps its own
-    register-state machine and connectivity tables so a bug in the
-    renamer, allocator or scheduler cannot hide itself.
+    :meth:`on_commit`, :meth:`on_cycle_end`, :meth:`on_cycle_skip`) on
+    either gear; the sanitizer keeps its own register-state machine and
+    connectivity tables so a bug in the renamer, allocator or scheduler
+    cannot hide itself.
     """
 
     def __init__(self, config: MachineConfig, renamer) -> None:
@@ -332,10 +333,10 @@ class PipelineSanitizer:
         self.checks += 1
         self._reconcile(cycle)
 
-    def on_cycle_skip(self, first_cycle: int, next_cycle: int) -> None:
+    def on_cycle_skip(self, cycle: int, horizon: int, stall: str) -> None:
         """Jump-aware variant of :meth:`on_cycle_end` for the event
-        horizon: the processor skipped cycles ``[first_cycle,
-        next_cycle)`` in one jump.
+        horizon: the processor skipped cycles ``[cycle, horizon)`` in one
+        jump while rename stalled on ``stall``.
 
         No dispatch/issue/commit/rename event occurs inside a skipped
         range, so the register lifecycle is frozen and one reconciliation
@@ -343,8 +344,8 @@ class PipelineSanitizer:
         would; ``checks`` still advances by the number of cycles covered
         so the work accounting matches the reference stepper.
         """
-        self.checks += next_cycle - first_cycle
-        self._reconcile(next_cycle - 1)
+        self.checks += horizon - cycle
+        self._reconcile(horizon - 1)
 
     def _reconcile(self, cycle: int) -> None:
         if self.renamer.deadlock_moves != self._seen_moves:

@@ -1,11 +1,13 @@
 """Tests for the SPEC-EQUIV codegen equivalence checker.
 
 Positive direction: every section-5 configuration and a 50-config
-sampled sweep verify clean.  Negative direction: deliberately corrupted
-generated steppers (wrong baked literal, stripped despecialization
-guard, dropped finally-writeback, dead RNG draw site, rogue module
-``random.*``, set iteration) are each reported with the right rule, a
-real line number, and the configuration name as provenance.
+sampled sweep verify clean, in both the hook-free and the hooked
+variant.  Negative direction: deliberately corrupted generated steppers
+(wrong baked literal, stripped despecialization guard, dropped
+finally-writeback, dead RNG draw site, rogue module ``random.*``, set
+iteration, a stale or missing hook site) are each reported with the
+right rule, a real line number, and the configuration name as
+provenance.
 """
 
 import pytest
@@ -18,8 +20,8 @@ from repro.core.specialize import (
 )
 
 
-def check(source, config):
-    return spec_equiv.check_generated_source(source, config)
+def check(source, config, hooked=False):
+    return spec_equiv.check_generated_source(source, config, hooked)
 
 
 def rules_of(findings):
@@ -47,14 +49,17 @@ class TestCleanCodegen:
         ids=lambda config: config.name.replace(" ", "_"))
     def test_section5_configs_verify_clean(self, config):
         assert spec_equiv.check_config_codegen(config) == []
+        assert spec_equiv.check_config_codegen(config, hooked=True) == []
 
     def test_sampled_sweep_verifies_clean(self):
         configs = spec_equiv.sampled_configs(50)
         assert len(configs) >= 50
         dirty = {
-            config.name: spec_equiv.check_config_codegen(config)
-            for config in configs
-            if spec_equiv.check_config_codegen(config)}
+            (config.name, hooked): findings
+            for config in configs for hooked in (False, True)
+            for findings in [spec_equiv.check_config_codegen(config,
+                                                             hooked)]
+            if findings}
         assert dirty == {}
 
     def test_sampling_is_deterministic(self):
@@ -212,3 +217,58 @@ class TestCorruptions:
         (finding,) = check(corrupted, config)
         line = corrupted.splitlines()[finding.line - 1]
         assert "999" in line
+
+
+@pytest.fixture(scope="module")
+def hooked512():
+    config = wsrs_rc(512)
+    return config, generate_stepper_source(config, hooked=True)
+
+
+class TestHookedCorruptions:
+    def test_hooked_guard_must_not_refuse_hooks(self, hooked512):
+        config, source = hooked512
+        corrupted = source.replace(
+            "    if proc._move_debt:\n",
+            "    if proc.obs is not None or proc._move_debt:\n")
+        findings = check(corrupted, config, hooked=True)
+        assert_provenance(findings, config)
+        assert rules_of(findings) == {"SPEC-EQUIV-GUARD"}
+        assert any("_move_debt alone" in finding.message
+                   for finding in findings)
+
+    def test_stale_state_before_cycle_hooks(self, hooked512):
+        config, source = hooked512
+        # The in-loop writebacks are indented deeper than the finally's.
+        corrupted = source.replace("                proc.cycle = cycle\n",
+                                   "")
+        findings = check(corrupted, config, hooked=True)
+        assert_provenance(findings, config)
+        assert rules_of(findings) == {"SPEC-EQUIV-WRITEBACK"}
+        hooks = {finding.message.split("()")[0] for finding in findings}
+        assert hooks == {"on_cycle_end", "on_cycle_skip"}
+        assert all("proc.cycle" in finding.message for finding in findings)
+
+    def test_update_between_writeback_and_hook(self, hooked512):
+        config, source = hooked512
+        hook = ("                for _h in hooks:\n"
+                "                    _h.on_cycle_end(cycle)\n")
+        corrupted = source.replace(
+            hook, "                committed += 0\n" + hook)
+        findings = check(corrupted, config, hooked=True)
+        assert_provenance(findings, config)
+        assert rules_of(findings) == {"SPEC-EQUIV-WRITEBACK"}
+
+    def test_missing_hook_site(self, hooked512):
+        config, source = hooked512
+        corrupted = source.replace("_h.on_issue(uop, cycle)", "pass")
+        findings = check(corrupted, config, hooked=True)
+        assert_provenance(findings, config)
+        assert rules_of(findings) == {"SPEC-EQUIV-HOOKS"}
+        assert any("on_issue" in finding.message for finding in findings)
+
+    def test_hook_call_in_the_hook_free_variant(self, hooked512):
+        config, source = hooked512
+        findings = check(source, config)
+        assert_provenance(findings, config)
+        assert "SPEC-EQUIV-HOOKS" in rules_of(findings)

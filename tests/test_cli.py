@@ -37,13 +37,15 @@ class TestParser:
         assert args.sanitize is False
 
     def test_simulate_paranoid_and_reference_flags(self):
+        # Both flags are gone: --sanitize checks the WSRS read/write
+        # rules and --gear reference picks the reference stepper.
+        for argv in (["--paranoid"], ["--reference"], ["--gear", "horizon"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["simulate", "gzip"] + argv)
         args = build_parser().parse_args(
-            ["simulate", "gzip", "--paranoid", "--reference"])
-        assert args.paranoid is True
-        assert args.reference is True
-        args = build_parser().parse_args(["simulate", "gzip"])
-        assert args.paranoid is False
-        assert args.reference is False
+            ["simulate", "gzip", "--gear", "reference"])
+        assert args.gear == "reference"
+        assert build_parser().parse_args(["simulate", "gzip"]).gear is None
 
     def test_profile_arguments(self):
         args = build_parser().parse_args(
@@ -119,10 +121,17 @@ class TestCommands:
     def test_simulate_reference_gear_matches_fast_path(self, capsys):
         argv = ["simulate", "vpr", "--config", "RR 256",
                 "--measure", "1500", "--warmup", "500"]
-        assert main(argv + ["--reference", "--paranoid"]) == 0
-        reference = capsys.readouterr().out
+        assert main(argv + ["--gear", "reference"]) == 0
+        reference = capsys.readouterr().out.splitlines()
         assert main(argv) == 0
-        assert capsys.readouterr().out == reference
+        default = capsys.readouterr().out.splitlines()
+        gear_line = [line.startswith("gear ") for line in default]
+        assert gear_line.count(True) == 1
+        index = gear_line.index(True)
+        assert default[index].split() == ["gear", "specialized"]
+        assert reference[index].split() == ["gear", "reference"]
+        del default[index], reference[index]
+        assert default == reference
 
     def test_profile_quick_writes_record(self, capsys, tmp_path):
         import json
@@ -146,9 +155,8 @@ class TestCommands:
         assert len(record["cells"]) == 6
         for cell in record["cells"]:
             assert cell["identical"] is True
-            assert cell["event_horizon_kips"] > 0
+            assert cell["specialized_kips"] > 0
         output = capsys.readouterr().out
-        assert "h-speed" in output
         assert "s-speed" in output
         assert "DIVERGED" not in output
 

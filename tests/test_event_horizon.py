@@ -1,10 +1,11 @@
-"""Golden equivalence and behaviour of the event-horizon fast path.
+"""Golden equivalence and behaviour of the event-horizon jump.
 
-The fast path (processor.py: ``Processor._try_jump``) must be invisible
-in every statistic: the acceptance bar is a ``SimulationStats`` summary
-- IPC, every stall counter, deadlock moves, the per-cluster histograms -
-bit-identical to the reference per-cycle stepper, on every section-5
-configuration and with the pipeline sanitizer enabled.
+The jump (the specialized gear's dead-window skip, repro.core.specialize)
+must be invisible in every statistic: the acceptance bar is a
+``SimulationStats`` summary - IPC, every stall counter, deadlock moves,
+the per-cluster histograms - bit-identical to the reference per-cycle
+stepper, on every section-5 configuration and with the pipeline
+sanitizer enabled.
 """
 
 import pytest
@@ -27,11 +28,9 @@ def _fingerprint(stats):
             list(stats.cluster_issued))
 
 
-def _run(config, trace, fast_path, sanitize=False):
-    # Pin the gear: the default would take the specialized stepper
-    # wherever it is admitted, and this file tests the horizon gear.
+def _run(config, trace, specialized, sanitize=False):
     processor = Processor(config, iter(trace),
-                          gear="horizon" if fast_path else "reference",
+                          gear="specialized" if specialized else "reference",
                           sanitize=True if sanitize else None)
     stats = processor.run(measure=MEASURE, warmup=WARMUP)
     return processor, stats
@@ -48,16 +47,16 @@ class TestGoldenEquivalence:
                              ids=lambda c: c.name)
     def test_all_section5_configs_bit_identical(self, config):
         trace = _trace("gcc")  # branchy: exercises penalty-window jumps
-        _, ref = _run(config, trace, fast_path=False)
-        fast_proc, fast = _run(config, trace, fast_path=True)
+        _, ref = _run(config, trace, specialized=False)
+        fast_proc, fast = _run(config, trace, specialized=True)
         assert _fingerprint(ref) == _fingerprint(fast)
         assert fast_proc.horizon_jumps > 0
 
     def test_memory_bound_trace_bit_identical(self):
         trace = _trace("mcf")  # long memory stalls: the big jumps
         config = figure4_configs()[0]
-        _, ref = _run(config, trace, fast_path=False)
-        fast_proc, fast = _run(config, trace, fast_path=True)
+        _, ref = _run(config, trace, specialized=False)
+        fast_proc, fast = _run(config, trace, specialized=True)
         assert _fingerprint(ref) == _fingerprint(fast)
         assert fast_proc.horizon_cycles_skipped > fast_proc.horizon_jumps
 
@@ -66,8 +65,8 @@ class TestGoldenEquivalence:
                              ids=lambda c: c.name)
     def test_sanitized_runs_stay_identical(self, config):
         trace = _trace("gcc")
-        ref_proc, ref = _run(config, trace, fast_path=False, sanitize=True)
-        fast_proc, fast = _run(config, trace, fast_path=True, sanitize=True)
+        ref_proc, ref = _run(config, trace, specialized=False, sanitize=True)
+        fast_proc, fast = _run(config, trace, specialized=True, sanitize=True)
         assert _fingerprint(ref) == _fingerprint(fast)
         # The jump-aware sanitizer still accounts one check per cycle.
         assert ref_proc.sanitizer.checks == fast_proc.sanitizer.checks
@@ -76,7 +75,7 @@ class TestGoldenEquivalence:
 class TestGearSelection:
     def test_reference_gear_never_jumps(self):
         trace = _trace("gcc")
-        ref_proc, _ = _run(figure4_configs()[0], trace, fast_path=False)
+        ref_proc, _ = _run(figure4_configs()[0], trace, specialized=False)
         assert ref_proc.horizon_jumps == 0
         assert ref_proc.horizon_cycles_skipped == 0
 
@@ -85,9 +84,9 @@ class TestGearSelection:
         # window; the jump advances that in closed form.
         config = wsrs_rc(512, rename_impl=1)
         trace = _trace("gzip")
-        ref_proc, ref = _run(config, trace, fast_path=False)
-        processor, fast = _run(config, trace, fast_path=True)
-        assert processor.gear == "horizon"
+        ref_proc, ref = _run(config, trace, specialized=False)
+        processor, fast = _run(config, trace, specialized=True)
+        assert processor.gear == "specialized"
         assert processor.horizon_jumps > 0
         assert _fingerprint(ref) == _fingerprint(fast)
         # Plentiful registers hide a wrong rotation from the stats, so
@@ -97,9 +96,9 @@ class TestGearSelection:
     def test_sanitized_recycling_renamer_jumps_cleanly(self):
         config = wsrs_rc(512, rename_impl=1)
         trace = _trace("mcf")
-        ref_proc, ref = _run(config, trace, fast_path=False, sanitize=True)
-        processor, fast = _run(config, trace, fast_path=True, sanitize=True)
-        assert processor.gear == "horizon"
+        ref_proc, ref = _run(config, trace, specialized=False, sanitize=True)
+        processor, fast = _run(config, trace, specialized=True, sanitize=True)
+        assert processor.gear == "specialized"
         assert processor.horizon_jumps > 0
         assert _fingerprint(ref) == _fingerprint(fast)
         assert _rotating_state(processor) == _rotating_state(ref_proc)
@@ -110,7 +109,7 @@ class TestGearSelection:
         ref = simulate(figure4_configs()[0], iter(trace), measure=MEASURE,
                        warmup=WARMUP, gear="reference")
         fast = simulate(figure4_configs()[0], iter(trace), measure=MEASURE,
-                        warmup=WARMUP, gear="horizon")
+                        warmup=WARMUP, gear="specialized")
         assert _fingerprint(ref) == _fingerprint(fast)
 
 
@@ -120,32 +119,31 @@ class TestDeadlockProof:
         # reference stepper would spin _PROGRESS_LIMIT cycles before
         # giving up, the fast path proves the deadlock on the spot.
         processor = Processor(figure4_configs()[0], iter([]),
-                              gear="horizon")
+                              gear="specialized")
         processor._waiting_branch = object()  # never-resolving branch
         with pytest.raises(DeadlockedPipeline, match="event horizon"):
-            processor._try_jump()
+            processor.run(measure=1)
 
 
 class TestRunSpecPlumbing:
-    def test_runspec_fast_path_round_trip(self):
+    def test_runspec_gear_round_trip(self):
         from repro.experiments.runner import RunSpec, execute
 
         config = figure4_configs()[0]
         results = {}
-        # fast_path=False alone must still force the reference stepper.
-        for gear, knobs in (("reference", {"fast_path": False}),
-                            ("horizon", {"gear": "horizon"})):
+        for gear, knobs in (("reference", {"gear": "reference"}),
+                            ("specialized", {})):
             result = execute(RunSpec(config=config, benchmark="vpr",
                                      measure=MEASURE, warmup=WARMUP,
                                      **knobs))
             assert result.gear == gear
             results[gear] = result.stats
         assert _fingerprint(results["reference"]) \
-            == _fingerprint(results["horizon"])
+            == _fingerprint(results["specialized"])
 
     def test_sweep_cells_default_to_fast_unparanoid(self):
         from repro.experiments.runner import RunSpec
 
         spec = RunSpec(config=figure4_configs()[0], benchmark="gzip")
-        assert spec.fast_path
-        assert not spec.check_invariants
+        assert spec.gear is None
+        assert not spec.sanitize

@@ -21,7 +21,7 @@ class TestIsaToSimulator:
         trace = list(microbenchmark_trace(kernel, n=64))
         for config in figure4_configs():
             stats = simulate(isa_machine_config(config), iter(trace),
-                             measure=len(trace), check_invariants=True)
+                             measure=len(trace), sanitize=True)
             assert stats.committed == len(trace), config.name
 
     def test_serial_chain_ipc_is_organisation_insensitive(self):
@@ -94,7 +94,7 @@ def test_processor_invariants_on_random_traces(seed):
     violating the WSRS read/write constraints."""
     trace = random_trace(400, seed=seed)
     stats = simulate(wsrs_rc(512), iter(trace), measure=400,
-                     check_invariants=True)
+                     sanitize=True)
     assert stats.committed == 400
     assert stats.cycles > 0
 

@@ -7,7 +7,7 @@ the six section-5 configurations with short slices:
   bit-exactly to ``stats.cycles``, under both simulator gears;
 * the gear-invariant snapshot view (causes, counters, histograms,
   steering mirror) is identical between the reference stepper and the
-  event-horizon fast path, jump-heavy workloads included;
+  specialized gear, jump-heavy workloads included;
 * attaching the layer leaves every simulation statistic bit-identical
   (observability is a pure reader), and composes with ``sanitize=``.
 """
@@ -118,9 +118,9 @@ class TestSectionFiveAcceptance:
 
     def test_stack_sums_and_gears_and_neutrality(self, name):
         config = next(c for c in figure4_configs() if c.name == name)
-        observed_fast = _run(config, observe=True, fast_path=True)
-        observed_ref = _run(config, observe=True, fast_path=False)
-        plain = _run(config, observe=False, fast_path=True)
+        observed_fast = _run(config, observe=True)
+        observed_ref = _run(config, observe=True, gear="reference")
+        plain = _run(config, observe=False)
 
         for result in (observed_fast, observed_ref):
             assert sum(result.obs["causes"].values()) == \
@@ -129,9 +129,9 @@ class TestSectionFiveAcceptance:
 
         assert gear_invariant_view(observed_fast.obs) == \
             gear_invariant_view(observed_ref.obs)
-        # the fast gear must actually have jumped for the equality above
-        # to mean anything on stall-heavy runs
-        assert observed_fast.obs["engine"]["fast_path"]
+        # the equality above must compare the two gears
+        assert observed_fast.obs["engine"]["gear"] == "specialized"
+        assert observed_ref.obs["engine"]["gear"] == "reference"
 
         assert observed_fast.stats.summary() == plain.stats.summary()
         assert observed_fast.stats.cycles == plain.stats.cycles
@@ -149,7 +149,7 @@ class TestComposition:
         assert sanitized.stats.summary() == plain.stats.summary()
 
     def test_memory_bound_stack_shows_memory(self):
-        """mcf under the fast path: jump-bulk-charged windows must land
+        """mcf on the specialized gear: jump-bulk-charged windows must land
         in the refined memory bucket, and still sum exactly."""
         config = next(c for c in figure4_configs()
                       if c.name == "WSRS RC S 512")
@@ -164,7 +164,8 @@ class TestComposition:
         a jumped window; the per-subset depth histograms must still
         match the reference stepper's per-cycle samples."""
         config = wsrs_rc(512, rename_impl=1)
-        fast = _run(config, benchmark="mcf", observe=True, gear="horizon")
+        fast = _run(config, benchmark="mcf", observe=True,
+                    gear="specialized")
         ref = _run(config, benchmark="mcf", observe=True, gear="reference")
         assert fast.obs["engine"]["horizon_jumps"] > 0
         assert gear_invariant_view(fast.obs) == gear_invariant_view(ref.obs)

@@ -14,12 +14,11 @@ from repro.trace.profiles import spec_trace
 MEASURE = 2_000
 
 
-def _traced_run(path, fast_path=True, **tracer_kwargs):
+def _traced_run(path, gear=None, **tracer_kwargs):
     config = wsrs_rc(512)
     with PipelineTracer(str(path), **tracer_kwargs) as tracer:
         processor = Processor(config, spec_trace("gzip", MEASURE + 4_096),
-                              check_invariants=False, fast_path=fast_path,
-                              tracer=tracer)
+                              gear=gear, tracer=tracer)
         stats = processor.run(measure=MEASURE)
         tracer.close(stats)
     return stats
@@ -66,17 +65,17 @@ class TestTracerRoundTrip:
     def test_gears_emit_identical_pipeline_events(self, tmp_path):
         """Dispatch/issue/commit never happen inside a dead window, so
         the two gears' traces differ only in jump records."""
-        fast_path = tmp_path / "fast.jsonl"
+        specialized = tmp_path / "fast.jsonl"
         reference = tmp_path / "ref.jsonl"
-        _traced_run(fast_path, fast_path=True)
-        _traced_run(reference, fast_path=False)
-        fast_events = [e for e in read_events(str(fast_path))
+        _traced_run(specialized)
+        _traced_run(reference, gear="reference")
+        fast_events = [e for e in read_events(str(specialized))
                        if e["t"] in ("D", "I", "R")]
         ref_events = [e for e in read_events(str(reference))
                       if e["t"] in ("D", "I", "R")]
         assert fast_events == ref_events
-        jumps = [e for e in read_events(str(fast_path)) if e["t"] == "J"]
-        assert jumps, "gzip under the fast path must jump at least once"
+        jumps = [e for e in read_events(str(specialized)) if e["t"] == "J"]
+        assert jumps, "gzip on the specialized gear must jump at least once"
         assert all(e["to"] > e["c"] for e in jumps)
 
 

@@ -12,32 +12,32 @@ SLICE = 6000
 
 
 class TestReadWriteLegality:
-    """check_invariants=True makes the processor assert Figure 3's rules
-    on every dispatched micro-op; these tests run real workloads with the
-    checks armed - any violation raises."""
+    """sanitize=True makes the pipeline sanitizer check Figure 3's rules
+    (SAN-READ-SUBSET, SAN-WRITE-SUBSET) on every micro-op; these tests
+    run real workloads with the checks armed - any violation raises."""
 
     @pytest.mark.parametrize("factory", [wsrs_rc, wsrs_rm])
     def test_wsrs_policies_respect_read_constraints(self, factory):
         stats = simulate(factory(512), spec_trace("gzip", SLICE),
-                         measure=SLICE, check_invariants=True)
+                         measure=SLICE, sanitize=True)
         assert stats.committed > 0
 
     def test_wsrs_on_fp_workload(self):
         stats = simulate(wsrs_rc(512), spec_trace("wupwise", SLICE),
-                         measure=SLICE, check_invariants=True)
+                         measure=SLICE, sanitize=True)
         assert stats.committed > 0
 
     def test_wsrs_on_random_traces(self):
         for seed in range(3):
             stats = simulate(wsrs_rc(512),
                              random_trace(2000, seed=seed),
-                             measure=2000, check_invariants=True)
+                             measure=2000, sanitize=True)
             assert stats.committed == 2000
 
     def test_dependence_aware_policy_is_also_legal(self):
         config = wsrs_rc(512, allocation_policy="dependence_aware")
         stats = simulate(config, spec_trace("gzip", SLICE), measure=SLICE,
-                         check_invariants=True)
+                         sanitize=True)
         assert stats.committed > 0
 
 

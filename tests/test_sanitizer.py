@@ -74,13 +74,13 @@ class TestViolationDetection:
     def test_missteered_uop_is_caught(self):
         # Steer every micro-op to cluster 0 regardless of its operand
         # subsets: on a WSRS machine this breaks the Figure 3 read
-        # constraints at the first multi-subset instruction.  The
-        # processor's own invariant assertions are disabled so only the
-        # sanitizer can object.
+        # constraints at the first multi-subset instruction.  Only the
+        # reference stepper calls ``allocate()``: the specialized gear
+        # inlines the RC policy.
         processor = Processor(
             config_by_name("WSRS RC S 512"), spec_trace("gzip", SLICE),
-            predictor=make_predictor("2bcgskew"),
-            check_invariants=False, sanitize=True)
+            predictor=make_predictor("2bcgskew"), sanitize=True,
+            gear="reference")
         processor.allocator.allocate = (
             lambda inst, subset_of=None, occupancy=None: (0, False))
         with pytest.raises(SanitizerViolation) as excinfo:

@@ -58,7 +58,7 @@ class TestUnbalanceThresholds:
 class TestSimulation:
     def test_runs_with_invariants_checked(self):
         stats = simulate(wsrs_seven_cluster(), spec_trace("gzip", 8000),
-                         measure=8000, check_invariants=True)
+                         measure=8000, sanitize=True)
         assert stats.committed == 8000
 
     def test_long_run_shares_are_even_across_seven_clusters(self):
@@ -72,7 +72,7 @@ class TestSimulation:
         for seed in range(3):
             trace = random_trace(1500, seed=seed)
             stats = simulate(wsrs_seven_cluster(), iter(trace),
-                             measure=1500, check_invariants=True)
+                             measure=1500, sanitize=True)
             assert stats.committed == 1500
 
     def test_wider_machine_is_at_least_competitive(self):

@@ -101,7 +101,7 @@ class TestSmtSimulation:
         config = smt_machine_config(wsrs_rc(512), threads=2,
                                     deadlock_policy="moves")
         stats = simulate(config, smt_trace(["gzip", "wupwise"], 4000),
-                         measure=8000, check_invariants=True)
+                         measure=8000, sanitize=True)
         assert stats.committed == 8000
 
     def test_smt_throughput_beats_the_low_ipc_thread(self):

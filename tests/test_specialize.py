@@ -1,24 +1,25 @@
-"""The config-specialized third gear (repro.core.specialize).
+"""The config-specialized gear (repro.core.specialize).
 
-Three angles:
+Angles:
 
 * **Property-based golden equivalence** - hypothesis draws (machine
-  configuration, benchmark, trace seed) and the three gears must agree
-  on the full ``SimulationStats`` fingerprint; with the observer
-  attached (which blocks specialization) the CPI stacks must also be
-  bit-identical, i.e. the graceful fallback keeps every trace event
-  firing.
-* **Guards** - every blocker (sanitizer, observer, paranoid
-  read-legality) keeps the generated stepper out, and the mid-run guard
-  (a deadlock-breaking move) despecializes exactly once without
-  double-counting a cycle, under both renaming implementations.
-* **Implementation 1** - the recycling renamer runs on both fast gears,
-  jumps included, with identical statistics and final free lists.
+  configuration, benchmark, trace seed, attached hooks) and the two
+  gears must agree on the full ``SimulationStats`` fingerprint, the
+  final free lists and, with an observer attached, the gear-invariant
+  snapshot (CPI stack, counters, histograms).
+* **Hooks and guards** - sanitized and observed runs take the hooked
+  variant of the generated stepper, and the mid-run guard (a
+  deadlock-breaking move) hands the run to the reference stepper
+  exactly once without double-counting a cycle, under both renaming
+  implementations and with hooks attached.
+* **Implementation 1** - the recycling renamer runs on the specialized
+  gear, jumps included, with identical statistics and final free lists.
 * **Code generation** - the generated source is deterministic, bakes
-  the configuration constants as literals, and is cached per source.
-* **Default gear** - a default :class:`RunSpec` runs every admissible
-  cell on the specialized gear, records the gear's provenance on the
-  result, and leaves no processor alive in a reference cycle.
+  the configuration constants as literals, and is cached per source
+  and variant.
+* **Default gear** - a default :class:`RunSpec` runs every cell on the
+  specialized gear, records the gear's provenance on the result, and
+  leaves no processor alive in a reference cycle.
 """
 
 import gc
@@ -31,16 +32,11 @@ from hypothesis import given, settings, strategies as st
 from repro.config import baseline_rr_256, figure4_configs, ws_rr, \
     wsrs_rc, wsrs_rm
 from repro.explore.lattice import build_config
-from repro.core.processor import Processor, simulate
+from repro.core.processor import Processor
 from repro.experiments import runner
 from repro.experiments.runner import RunSpec, execute
-from repro.core.specialize import (
-    GEARS,
-    _CODE_CACHE,
-    build_specialized_runner,
-    generate_stepper_source,
-    specialization_blockers,
-)
+from repro.core.specialize import _CODE_CACHE, generate_stepper_source
+from repro.obs.observer import gear_invariant_view
 from repro.trace.profiles import spec_trace
 
 MEASURE = 1_200
@@ -55,10 +51,25 @@ def _fingerprint(stats):
 
 
 def _run(config, trace, gear, **kwargs):
-    processor = Processor(config, iter(trace), gear=gear,
-                          check_invariants=False, **kwargs)
+    processor = Processor(config, iter(trace), gear=gear, **kwargs)
     stats = processor.run(measure=MEASURE, warmup=WARMUP)
     return processor, stats
+
+
+#: The hook mixes a run can attach, as Processor keyword arguments.
+HOOKS = {
+    "none": {},
+    "sanitizer": {"sanitize": True},
+    "observer": {"observe": True},
+    "both": {"sanitize": True, "observe": True},
+}
+
+
+def _observed(processor):
+    """Gear-invariant observer snapshot (None without an observer)."""
+    if processor.obs is None:
+        return None
+    return gear_invariant_view(processor.obs.snapshot())
 
 
 def _free_lists(processor):
@@ -90,44 +101,44 @@ def machine_configs(draw):
 
 
 class TestPropertyEquivalence:
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=8, deadline=None)
     @given(config=machine_configs(),
            benchmark=st.sampled_from(["gzip", "gcc", "mcf", "wupwise"]),
-           seed=st.integers(min_value=1, max_value=3))
-    def test_three_gears_agree_on_stats(self, config, benchmark, seed):
+           seed=st.integers(min_value=1, max_value=3),
+           hooks=st.sampled_from(sorted(HOOKS)))
+    def test_three_gears_agree_on_stats(self, config, benchmark, seed,
+                                        hooks):
         trace = list(spec_trace(benchmark, SLICE, seed=seed))
         prints = {}
-        for gear in GEARS:
-            processor, stats = _run(config, trace, gear)
-            prints[gear] = (_fingerprint(stats), _free_lists(processor))
-        assert prints["reference"] == prints["horizon"]
+        for gear in ("reference", "specialized"):
+            processor, stats = _run(config, trace, gear, **HOOKS[hooks])
+            assert processor.gear == gear
+            prints[gear] = (_fingerprint(stats), _observed(processor),
+                            _free_lists(processor))
         assert prints["reference"] == prints["specialized"]
 
     @settings(max_examples=3, deadline=None)
-    @given(benchmark=st.sampled_from(["gcc", "mcf"]),
-           seed=st.integers(min_value=1, max_value=3))
-    def test_cpi_stacks_survive_the_fallback(self, benchmark, seed):
-        # The observer blocks specialization, so requesting the third
-        # gear must degrade gracefully: identical stats *and* identical
-        # CPI stacks, with every cycle accounted exactly once.
-        config = figure4_configs()[4]
-        trace = list(spec_trace(benchmark, SLICE, seed=seed))
+    @given(seed=st.integers(min_value=1, max_value=3))
+    def test_cpi_stacks_survive_the_fallback(self, seed):
+        # An observed run on the moves config trips the specialized
+        # gear mid-run: identical stats *and* identical snapshots, with
+        # every cycle accounted exactly once across the hand-off.
+        config = TestMidRunGuard._tight_moves_config()
+        trace = list(spec_trace("gcc", SLICE, seed=seed))
         ref_proc, ref = _run(config, trace, "reference", observe=True)
         spec_proc, spec = _run(config, trace, "specialized", observe=True)
-        assert spec_proc.gear != "specialized"
+        assert spec_proc.despecializations == 1
         assert _fingerprint(ref) == _fingerprint(spec)
-        ref_causes = ref_proc.obs.snapshot()["causes"]
-        spec_causes = spec_proc.obs.snapshot()["causes"]
-        assert ref_causes == spec_causes
-        assert sum(spec_causes.values()) == spec.cycles
+        assert _observed(ref_proc) == _observed(spec_proc)
+        causes = spec_proc.obs.snapshot()["causes"]
+        assert causes["deadlock_moves"] > 0
+        assert sum(causes.values()) == spec.cycles
 
 
 class TestMuldivArbitration:
-    """Tracked multiply/divide units on both fast gears: the generated
-    execute stage charges the issuing cluster's unit, and a dead
-    window's horizon includes every unit release.  The behavioural
-    tests in test_shared_muldiv.py run on the default (specialized)
-    gear, so the horizon gear is pinned to the reference here."""
+    """Tracked multiply/divide units on the specialized gear: the
+    generated execute stage charges the issuing cluster's unit, and a
+    dead window's horizon includes every unit release."""
 
     @pytest.mark.parametrize("pipelined,shared",
                              [(False, False), (False, True), (True, True)])
@@ -137,69 +148,60 @@ class TestMuldivArbitration:
         for benchmark in ("gcc", "swim"):
             trace = list(spec_trace(benchmark, SLICE, seed=2))
             _, ref = _run(config, trace, "reference")
-            for gear in ("horizon", "specialized"):
-                proc, stats = _run(config, trace, gear)
-                assert proc.gear == gear
-                assert _fingerprint(ref) == _fingerprint(stats), \
-                    (benchmark, gear)
+            proc, stats = _run(config, trace, "specialized")
+            assert proc.gear == "specialized"
+            assert _fingerprint(ref) == _fingerprint(stats), benchmark
 
 
 class TestEntryGuards:
     def test_clean_processor_specializes(self):
         processor = Processor(figure4_configs()[0],
                               iter(spec_trace("gzip", SLICE)),
-                              gear="specialized", check_invariants=False)
-        assert specialization_blockers(processor) == []
+                              gear="specialized")
         assert processor.gear == "specialized"
+        assert processor._hooks == ()
 
-    def test_sanitizer_blocks(self):
+    def test_sanitizer_specializes(self):
+        trace = list(spec_trace("gcc", SLICE))
+        config = wsrs_rm(512)
+        ref_proc, ref = _run(config, trace, "reference", sanitize=True)
+        spec_proc, spec = _run(config, trace, None, sanitize=True)
+        assert spec_proc.gear == "specialized"
+        assert spec_proc._hooks == (spec_proc.sanitizer,)
+        assert _fingerprint(ref) == _fingerprint(spec)
+        # One check per cycle on either gear, jumped windows included.
+        assert spec_proc.sanitizer.checks == ref_proc.sanitizer.checks
+
+    def test_observer_specializes(self):
         processor = Processor(figure4_configs()[0],
                               iter(spec_trace("gzip", SLICE)),
-                              gear="specialized", check_invariants=False,
-                              sanitize=True)
-        assert any("sanitizer" in blocker
-                   for blocker in specialization_blockers(processor))
-        assert processor.gear != "specialized"
-
-    def test_observer_blocks(self):
-        processor = Processor(figure4_configs()[0],
-                              iter(spec_trace("gzip", SLICE)),
-                              gear="specialized", check_invariants=False,
                               observe=True)
-        assert any("observer" in blocker
-                   for blocker in specialization_blockers(processor))
-        assert processor.gear != "specialized"
+        assert processor.gear == "specialized"
+        assert processor._hooks == (processor.obs,)
 
     def test_recycling_renamer_specializes(self):
         processor = Processor(wsrs_rc(512, rename_impl=1),
                               iter(spec_trace("gzip", SLICE)),
-                              gear="specialized", check_invariants=False)
-        assert specialization_blockers(processor) == []
+                              gear="specialized")
         assert processor.gear == "specialized"
 
-    def test_paranoid_wsrs_blocks_but_plain_ws_does_not(self):
-        paranoid = Processor(wsrs_rc(512),
-                             iter(spec_trace("gzip", SLICE)),
-                             gear="specialized", check_invariants=True)
-        assert paranoid.gear != "specialized"
-        ws = Processor(ws_rr(512), iter(spec_trace("gzip", SLICE)),
-                       gear="specialized", check_invariants=True)
-        assert ws.gear == "specialized"
-
     def test_blocked_runs_stay_bit_identical(self):
-        # A blocked "specialized" request must not change behaviour.
+        # A run whose specialized stepper a deadlock move blocks
+        # mid-run must not change behaviour, sanitizer attached.
+        config = TestMidRunGuard._tight_moves_config()
         trace = list(spec_trace("gcc", SLICE))
-        config = wsrs_rm(512)
-        _, ref = _run(config, trace, "reference", sanitize=True)
+        ref_proc, ref = _run(config, trace, "reference", sanitize=True)
         spec_proc, spec = _run(config, trace, "specialized",
                                sanitize=True)
-        assert spec_proc.gear != "specialized"
+        assert spec_proc.despecializations == 1
         assert _fingerprint(ref) == _fingerprint(spec)
+        assert spec_proc.sanitizer.checks == ref_proc.sanitizer.checks
 
     def test_unknown_gear_rejected(self):
         from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            Processor(figure4_configs()[0], iter([]), gear="overdrive")
+        for gear in ("overdrive", "horizon"):
+            with pytest.raises(ConfigError):
+                Processor(figure4_configs()[0], iter([]), gear=gear)
 
 
 class TestMidRunGuard:
@@ -221,7 +223,7 @@ class TestMidRunGuard:
         spec_proc, spec = _run(config, trace, "specialized")
         assert ref.deadlock_moves > 0  # the guard actually fired
         assert spec_proc.despecializations == 1
-        assert spec_proc.gear == "horizon"  # jumps resume post-trip
+        assert spec_proc.gear == "reference"  # the rest runs per cycle
         # cycles (inside summary()) equal => no cycle double-counted or
         # lost across the mid-run hand-off.
         assert _fingerprint(ref) == _fingerprint(spec)
@@ -233,11 +235,10 @@ class TestMidRunGuard:
         assert processor._specialized_run is None
         assert processor.despecializations == 1
 
-
     def test_impl1_fallback_is_bit_identical(self):
         # Implementation 1 renames only from the staged group, which a
         # move never refills: the move cycle stalls, and the guard still
-        # trips so the generic gears publish stats.deadlock_moves.
+        # trips so the reference stepper publishes stats.deadlock_moves.
         config = wsrs_rc(128, rename_impl=1, deadlock_policy="moves",
                          fp_physical_registers=160, front_width=4)
         trace = list(spec_trace("gzip", SLICE, seed=1))
@@ -245,14 +246,14 @@ class TestMidRunGuard:
         spec_proc, spec = _run(config, trace, "specialized")
         assert ref_proc.renamer.deadlock_moves > 0
         assert spec_proc.despecializations == 1
-        assert spec_proc.gear == "horizon"
+        assert spec_proc.gear == "reference"
         assert _fingerprint(ref) == _fingerprint(spec)
         assert _free_lists(ref_proc) == _free_lists(spec_proc)
 
 
 class TestRecyclingRenamer:
-    """Implementation 1 on the fast gears: the staging/recycling work
-    runs every stepped cycle and in closed form over every jump."""
+    """Implementation 1 on the specialized gear: the staging/recycling
+    work runs every stepped cycle and in closed form over every jump."""
 
     @pytest.mark.parametrize("config", [
         ws_rr(512, rename_impl=1), wsrs_rc(512, rename_impl=1),
@@ -263,12 +264,11 @@ class TestRecyclingRenamer:
         assert config.rename_impl == 1
         trace = list(spec_trace(profile, SLICE, seed=1))
         ref_proc, ref = _run(config, trace, "reference")
-        for gear in ("horizon", "specialized"):
-            processor, stats = _run(config, trace, gear)
-            assert processor.gear == gear
-            assert processor.horizon_jumps > 0
-            assert _fingerprint(stats) == _fingerprint(ref), gear
-            assert _free_lists(processor) == _free_lists(ref_proc), gear
+        processor, stats = _run(config, trace, "specialized")
+        assert processor.gear == "specialized"
+        assert processor.horizon_jumps > 0
+        assert _fingerprint(stats) == _fingerprint(ref)
+        assert _free_lists(processor) == _free_lists(ref_proc)
 
     def test_codegen_drives_the_rotating_free_lists(self):
         source = generate_stepper_source(wsrs_rc(512, rename_impl=1))
@@ -306,21 +306,28 @@ class TestCodeGeneration:
     def test_compiled_code_is_cached(self):
         config = figure4_configs()[0]
         trace = iter(spec_trace("gzip", 64))
-        Processor(config, trace, gear="specialized",
-                  check_invariants=False)
+        Processor(config, trace, gear="specialized")
         before = len(_CODE_CACHE)
         Processor(config, iter(spec_trace("gzip", 64)),
-                  gear="specialized", check_invariants=False)
+                  gear="specialized")
         assert len(_CODE_CACHE) == before
 
-    def test_build_returns_none_when_blocked(self):
-        processor = Processor(figure4_configs()[0], iter([]),
-                              sanitize=True)
-        assert build_specialized_runner(processor) is None
+    def test_hooked_variant_is_cached_separately(self):
+        config = figure4_configs()[0]
+        plain = generate_stepper_source(config)
+        hooked = generate_stepper_source(config, hooked=True)
+        assert "hooks" not in plain
+        for hook in ("on_dispatch(uop, cycle)", "on_issue(uop, cycle)",
+                     "on_commit(uop, cycle)", "on_cycle_end(cycle)",
+                     "on_cycle_skip(cycle, horizon, _stall_tag)"):
+            assert hook in hooked, hook
+        Processor(config, iter([]))
+        Processor(config, iter([]), observe=True)
+        assert plain in _CODE_CACHE and hooked in _CODE_CACHE
 
 
 class TestDefaultGear:
-    """``gear=None`` engages the fastest gear each cell admits."""
+    """``gear=None`` engages the specialized gear."""
 
     @staticmethod
     def _spec(config, **kwargs):
@@ -332,7 +339,6 @@ class TestDefaultGear:
             default = execute(self._spec(config))
             reference = execute(self._spec(config, gear="reference"))
             assert default.gear == "specialized", config.name
-            assert default.blockers == []
             assert default.despecializations == 0
             assert reference.gear == "reference"
             assert _fingerprint(default.stats) \
@@ -343,13 +349,7 @@ class TestDefaultGear:
         result = execute(self._spec(config))
         reference = execute(self._spec(config, gear="reference"))
         assert result.gear == "specialized"
-        assert result.blockers == []
         assert _fingerprint(result.stats) == _fingerprint(reference.stats)
-
-    def test_fast_path_false_still_forces_reference(self):
-        processor = Processor(figure4_configs()[0], iter([]),
-                              fast_path=False)
-        assert processor.gear == "reference"
 
 
 class TestNoReferenceCycle:
