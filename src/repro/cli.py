@@ -164,10 +164,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.processor import Processor
     from repro.frontend.predictors import make_predictor
     from repro.obs.tracer import PipelineTracer
-    from repro.trace.cache import cached_spec_trace
+    from repro.trace.cache import TRACE_SLACK, cached_spec_trace
 
     config = config_by_name(args.config)
-    length = args.warmup + args.measure + 8_192
+    length = args.warmup + args.measure + TRACE_SLACK
     trace = cached_spec_trace(args.benchmark, length, seed=args.seed)
     with PipelineTracer(args.out, start=args.trace_start,
                         window=args.trace_window,

@@ -4,8 +4,8 @@ Each cluster owns a :class:`ClusterScheduler`.  Dispatched micro-ops wait
 in a *calendar queue* on the pending side: a dict mapping wake-up cycle
 (the max over operands of producer-result cycle plus the inter-cluster
 forwarding delay) to the list of micro-ops waking that cycle, plus a
-sorted key list whose head feeds :meth:`next_wake_cycle` (the
-specialized gear's event-horizon jump reads the same head directly).
+sorted key list whose head is the earliest pending wake-up (the
+specialized gear's event-horizon jump reads it directly).
 Bulk wakes drain whole buckets, O(woken), with no heapify storms.
 
 Woken entries land in a *ready list* sorted by age (sequence number).
@@ -125,19 +125,6 @@ class ClusterScheduler:
     def release_mem(self, mem_index: int) -> None:
         """The in-order address rule cleared: un-park this memory op."""
         insort(self._ready, self._parked_mem.pop(mem_index))
-
-    def next_wake_cycle(self) -> Optional[int]:
-        """Earliest wake-up cycle among pending entries (None if empty).
-
-        Ready entries are *already* woken; callers deciding whether a
-        cycle can be skipped must also consult :attr:`has_ready`.
-        """
-        return self._bucket_keys[0] if self._bucket_keys else None
-
-    @property
-    def has_ready(self) -> bool:
-        """Whether any woken micro-op is competing for selection."""
-        return bool(self._ready)
 
     # -- select -----------------------------------------------------------
 

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import MachineConfig, figure4_configs
 from repro.core.processor import Processor
 from repro.core.stats import SimulationStats
-from repro.trace.cache import default_cache
+from repro.trace.cache import TRACE_SLACK, default_cache
 
 #: Schema version of the JSON record.
 SCHEMA = 1
@@ -55,10 +55,6 @@ DEFAULT_WARMUP = 20_000
 QUICK_MEASURE = 4_000
 QUICK_WARMUP = 4_000
 DEFAULT_OUT = "BENCH_core.json"
-
-#: Instructions generated beyond warmup+measure so the pipeline drains
-#: without exhausting the trace early (mirrors the runner's slack).
-TRACE_SLACK = 8_192
 
 #: Pipeline-stage attribution for the cProfile breakdown: method name ->
 #: (stage label, filename fragment).  ``_commit``/``_issue``/
@@ -160,9 +156,10 @@ def run(
         warmup = QUICK_WARMUP if quick else DEFAULT_WARMUP
     configs = list(configs if configs is not None else figure4_configs())
 
-    # Pre-materialise the trace so sim-KIPS measures the core, not the
-    # workload generator (the cache returns the same immutable tuple for
-    # both gears, so the input streams are trivially identical).
+    # Pre-materialise the trace's eager prefix so sim-KIPS measures the
+    # core, not the workload generator.  Both gears iterate the one
+    # cache entry, so their input streams are identical; only the first
+    # run generates the few hundred slack-tail instructions it drains.
     trace = default_cache().get(benchmark, measure + warmup + TRACE_SLACK,
                                 seed=seed)
 

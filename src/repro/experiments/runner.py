@@ -18,8 +18,9 @@ out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
   hatch (one process, one breakpoint, strictly sequential cells);
 * before spawning workers, the parent pre-warms the process-wide trace
   cache (:mod:`repro.trace.cache`) with every distinct workload of the
-  matrix, so forked workers inherit the materialised traces through
-  copy-on-write pages instead of regenerating them;
+  matrix, so forked workers inherit each trace's eager prefix through
+  copy-on-write pages instead of regenerating it (each worker extends
+  its own copy of the short slack tail its runs read);
 * ``progress(...)`` callbacks stream in the parent as futures complete,
   in completion order; results are reassembled in spec order, so the
   returned structure - and every statistic in it - is bit-identical to
@@ -46,15 +47,11 @@ from repro.config import MachineConfig
 from repro.core.processor import Processor
 from repro.core.stats import SimulationStats
 from repro.frontend.predictors import make_predictor
-from repro.trace.cache import cached_spec_trace, default_cache
+from repro.trace.cache import TRACE_SLACK, cached_spec_trace, default_cache
 
 #: Default measured-slice and warm-up lengths (instructions).
 DEFAULT_MEASURE = 100_000
 DEFAULT_WARMUP = 120_000
-
-#: Instructions generated beyond warmup+measure so the pipeline drains
-#: without exhausting the trace early.
-TRACE_SLACK = 8_192
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,8 @@ def warm_trace_cache(specs: Sequence[RunSpec]) -> int:
 
     Returns the number of distinct workloads.  Called by the parallel
     engine before forking so workers share the parent's traces; also
-    useful on its own to pay all generation cost up front.
+    useful on its own to pay generation cost up front (every eager
+    prefix; the slack tail still comes on demand).
     """
     seen: Set[tuple] = set()
     cache = default_cache()
@@ -234,9 +232,9 @@ def execute_many(
         # the (potentially long) generation phase must also exit through
         # ExperimentInterrupted rather than the default kill.
         with sigterm_interrupts():
-            # Generate each distinct trace once, pre-fork: forked
-            # workers then read the parent's materialised traces via
-            # copy-on-write pages.
+            # Generate each distinct trace's eager prefix once,
+            # pre-fork: forked workers then read the parent's prefixes
+            # via copy-on-write pages.
             warm_trace_cache(specs)
             pool = ProcessPoolExecutor(
                 max_workers=min(workers, len(specs)))

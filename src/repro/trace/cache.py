@@ -1,38 +1,53 @@
-"""Keyed caching of materialised synthetic traces.
+"""Keyed caching of synthetic traces.
 
 Every experiment cell re-runs the same (profile, length, seed) workload:
 a Figure 4 sweep simulates each benchmark on six configurations, so five
 of the six synthetic-trace generations are pure waste.  This module
-caches the materialised instruction stream under the key
+caches the instruction stream under the key
 
     (profile_name, length, seed, generator_version)
 
-with two storage tiers:
+Each entry is a :class:`TraceEntry`.  A run asks for ``warmup +
+measure + TRACE_SLACK`` instructions but reads only ``warmup +
+measure`` plus the few hundred its pipeline holds in flight when the
+measured slice ends.  So a miss materialises an **eager prefix** of
+``length - TRACE_SLACK`` instructions and keeps the paused generator;
+the **slack tail** is generated on demand, in small chunks under a
+lock, appended to the shared entry, and never grows past ``length``.
+The generator never looks ahead, so every iterator over an entry yields
+exactly the stream a full ``length``-instruction generation would,
+trace end included.
+
+Two storage tiers:
 
 * an **in-process LRU** (default: :data:`DEFAULT_CAPACITY` traces) - the
   tier that matters for sweeps.  With the ``fork`` start method the
   parallel experiment engine (:mod:`repro.experiments.runner`) pre-warms
-  this cache *before* spawning workers, so every worker inherits the
-  traces through copy-on-write pages and no process ever generates a
-  trace twice;
+  this cache *before* spawning workers, so every worker inherits each
+  eager prefix through copy-on-write pages, together with the paused
+  generator state; a worker that reads into the slack extends its own
+  copy of the tail;
 * an optional **on-disk pickle cache** (``WSRS_TRACE_CACHE`` environment
   variable, or ``configure(disk_dir=...)``) that persists traces across
   interpreter runs and is shared between concurrent worker processes.
+  It writes and reads full-length tuples, so a miss with a disk tier
+  materialises the whole trace.
 
 ``generator_version`` is :data:`repro.trace.synthetic.GENERATOR_VERSION`;
 bumping it invalidates every cached trace, so a stale disk cache can
-never silently feed an old workload to a new simulator.  Cached traces
-are tuples of immutable-in-practice :class:`TraceInstruction` records;
-the simulator never mutates trace instructions, so one materialised
-trace can back any number of concurrent simulations.
+never silently feed an old workload to a new simulator.  The simulator
+never mutates trace instructions, so one entry can back any number of
+concurrent simulations.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import threading
 from collections import OrderedDict
-from typing import Iterator, Optional, Tuple
+from itertools import chain, islice
+from typing import Iterator, List, Optional, Tuple
 
 from repro.atomicio import atomic_write_pickle
 from repro.trace.model import TraceInstruction
@@ -45,12 +60,78 @@ DEFAULT_CAPACITY = 8
 #: Environment variable naming the on-disk cache directory (optional).
 DISK_ENV = "WSRS_TRACE_CACHE"
 
+#: Instructions a run requests beyond warmup+measure so the pipeline
+#: drains without exhausting the trace early.  A cache entry generates
+#: this tail lazily: runs read only their in-flight overrun of it.
+TRACE_SLACK = 8_192
+
+#: Tail instructions generated per extension of an entry.
+_TAIL_CHUNK = 256
+
+#: Guards every entry's tail extension.  Held across fork, so a child
+#: never inherits a generator that another thread was advancing.
+_TAIL_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_TAIL_LOCK.acquire,
+                        after_in_parent=_TAIL_LOCK.release,
+                        after_in_child=_TAIL_LOCK.release)
+
 Key = Tuple[str, int, int, int]
 
 
 def trace_key(profile_name: str, length: int, seed: int) -> Key:
     """The full cache key for one workload request."""
     return (profile_name, length, seed, GENERATOR_VERSION)
+
+
+class TraceEntry:
+    """One cached trace: an eager prefix and a lazily generated tail.
+
+    ``len()`` is the requested length.  Iterating yields that many
+    instructions, the same ones a full generation yields; the tail is
+    generated the first time any iterator reaches it.
+    """
+
+    __slots__ = ("length", "_prefix", "_tail", "_source")
+
+    def __init__(self, prefix: Tuple[TraceInstruction, ...], length: int,
+                 source: Optional[Iterator[TraceInstruction]] = None
+                 ) -> None:
+        self.length = length
+        self._prefix = prefix
+        self._tail: List[TraceInstruction] = []
+        #: The paused generator that yields the tail; None once done.
+        self._source = source if len(prefix) < length else None
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[TraceInstruction]:
+        if self._source is None:
+            return chain(self._prefix, self._tail)
+        return chain(self._prefix, self._iter_tail())
+
+    @property
+    def generated(self) -> int:
+        """Instructions materialised so far (prefix plus tail)."""
+        return len(self._prefix) + len(self._tail)
+
+    def _iter_tail(self) -> Iterator[TraceInstruction]:
+        tail = self._tail
+        position = 0
+        while position < len(tail) or self._extend(position):
+            yield tail[position]
+            position += 1
+
+    def _extend(self, position: int) -> bool:
+        """Generate the tail past ``position``; False at the trace end."""
+        with _TAIL_LOCK:
+            tail = self._tail
+            if position >= len(tail) and self._source is not None:
+                tail.extend(islice(self._source, _TAIL_CHUNK))
+                if len(self._prefix) + len(tail) >= self.length:
+                    self._source = None
+            return position < len(tail)
 
 
 class TraceCache:
@@ -60,8 +141,7 @@ class TraceCache:
                  disk_dir: Optional[str] = None) -> None:
         self.capacity = max(1, capacity)
         self.disk_dir = disk_dir
-        self._entries: "OrderedDict[Key, Tuple[TraceInstruction, ...]]" = \
-            OrderedDict()
+        self._entries: "OrderedDict[Key, TraceEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -69,26 +149,32 @@ class TraceCache:
     # -- lookup ----------------------------------------------------------
 
     def get(self, profile_name: str, length: int,
-            seed: int = 1) -> Tuple[TraceInstruction, ...]:
-        """The materialised trace for a key, generating it on a miss."""
+            seed: int = 1) -> TraceEntry:
+        """The trace for a key, generating its eager prefix on a miss."""
         key = trace_key(profile_name, length, seed)
-        trace = self._entries.get(key)
-        if trace is not None:
+        entry = self._entries.get(key)
+        if entry is not None:
             self.hits += 1
             self._entries.move_to_end(key)
-            return trace
+            return entry
         trace = self._load_disk(key)
-        if trace is None:
-            self.misses += 1
-            trace = tuple(SyntheticTraceGenerator(
-                get_profile(profile_name), seed).generate(length))
-            self._store_disk(key, trace)
-        else:
+        source = None
+        if trace is not None:
             self.disk_hits += 1
-        self._entries[key] = trace
+        else:
+            self.misses += 1
+            source = SyntheticTraceGenerator(
+                get_profile(profile_name), seed).generate(length)
+            # The disk tier stores whole traces; a memory-only entry
+            # leaves the slack tail to the runs that read into it.
+            eager = length if self.disk_dir else max(0, length - TRACE_SLACK)
+            trace = tuple(islice(source, eager))
+            self._store_disk(key, trace)
+        entry = TraceEntry(trace, length, source)
+        self._entries[key] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-        return trace
+        return entry
 
     def __contains__(self, key: Key) -> bool:
         return key in self._entries
@@ -163,7 +249,7 @@ def cached_spec_trace(name: str, count: int,
                       seed: int = 1) -> Iterator[TraceInstruction]:
     """Drop-in for :func:`repro.trace.profiles.spec_trace`, cache-backed.
 
-    Returns a fresh iterator over the (shared, immutable) materialised
-    trace, so every caller consumes an identical stream.
+    Returns a fresh iterator over the shared cache entry, so every
+    caller consumes an identical stream.
     """
     return iter(default_cache().get(name, count, seed))

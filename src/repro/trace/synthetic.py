@@ -291,104 +291,206 @@ class SyntheticTraceGenerator:
     # -- dynamic walk -----------------------------------------------------
 
     def generate(self, count: int) -> Iterator[TraceInstruction]:
-        """Yield exactly ``count`` dynamic instructions."""
-        profile = self.profile
+        """Yield exactly ``count`` dynamic instructions.
+
+        Every draw comes from one ``random.Random(seed)`` (plus the
+        per-loop address streams' own RNGs), in this order:
+
+        * per loop visit: one ``expovariate`` for the iteration count;
+        * per iteration: the pointer refresh picks one producer;
+        * per load: a pointer-chasing profile first draws the 0.15 chase
+          test (a chase then draws its address and nothing else);
+          otherwise the stream bit, the FP-destination test, the base
+          register (below 3), then the stream's address;
+        * per store: the stream bit, the FP-data test (only when the
+          profile has FP loads), the data producer, the base bit, then
+          the stream's address;
+        * per integer ALU op: the monadic test; a dyadic op then draws
+          the commutativity test, its first producer, its second operand;
+        * per multiply/divide or FP op: first producer, second operand;
+        * per block branch: one taken draw, except on the loop-back
+          branch; the two induction updates draw nothing.
+
+        A producer pick draws the locality test and, when it misses, an
+        index into the producer window.  A second operand draws the
+        invariant test (only when invariants exist) and then an
+        invariant index or a producer pick.  Every index is the
+        ``getrandbits`` rejection loop ``randrange(n)`` runs, so the
+        draws match it call for call.  The walk never looks ahead, so
+        the first ``n`` instructions of ``generate(m)`` are
+        ``generate(n)`` for every ``m >= n``.  Changing this order
+        changes every stream and must bump :data:`GENERATOR_VERSION`;
+        ``tests/test_synthetic_oracle.py`` pins it against the original
+        walk.  The address streams belong to the skeleton and advance
+        with every call, so each reproducible stream needs a fresh
+        generator.
+        """
         plan = self.plan
+        loops = self.loops
+        profile = self.profile
         rng = random.Random(self.seed)
-        recent_int: List[int] = list(plan.int_temps[:4])
-        recent_fp: List[int] = list(plan.fp_temps[:4])
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        make = TraceInstruction
+        IALU, LOAD, STORE = OpClass.IALU, OpClass.LOAD, OpClass.STORE
+        IMULDIV, BRANCH, FPDIV = OpClass.IMULDIV, OpClass.BRANCH, \
+            OpClass.FPDIV
         window = profile.dep_window
+        locality = profile.dep_locality
+        invariant_prob = profile.invariant_operand_prob
+        pointer_chase = profile.pointer_chase
+        frac_fp_load = profile.frac_fp_load
+        fp_stores = frac_fp_load > 0
+        frac_monadic = profile.frac_alu_monadic
+        frac_commutative = profile.frac_commutative
+        int_temps, fp_temps = plan.int_temps, plan.fp_temps
+        int_invariants, fp_invariants = plan.int_invariants, \
+            plan.fp_invariants
+        recent_int: List[int] = list(int_temps[:4])
+        recent_fp: List[int] = list(fp_temps[:4])
 
-        int_temp_cursor = 0
-        fp_temp_cursor = 0
-        emitted = 0
-        loop_cursor = 0
+        def below(n: int) -> int:
+            # rng.randrange(n), draw for draw.
+            bits = n.bit_length()
+            value = getrandbits(bits)
+            while value >= n:
+                value = getrandbits(bits)
+            return value
 
-        def next_int_temp() -> int:
-            nonlocal int_temp_cursor
-            reg = plan.int_temps[int_temp_cursor]
-            int_temp_cursor = (int_temp_cursor + 1) % len(plan.int_temps)
-            return reg
-
-        def next_fp_temp() -> int:
-            nonlocal fp_temp_cursor
-            reg = plan.fp_temps[fp_temp_cursor]
-            fp_temp_cursor = (fp_temp_cursor + 1) % len(plan.fp_temps)
-            return reg
-
-        def note_write(reg: int, fp: bool) -> None:
-            recent = recent_fp if fp else recent_int
-            if reg in recent:
-                recent.remove(reg)
-            recent.append(reg)
-            if len(recent) > window:
-                recent.pop(0)
-
-        def pick_recent(fp: bool) -> int:
+        def pick_recent(recent: List[int]) -> int:
             # Two-mode producer distance: with probability dep_locality
             # the operand is the newest value (a tight, latency-critical
             # edge - compare->branch, address->load, accumulator updates);
             # otherwise it is drawn uniformly from the producer window
             # (wide, parallel dataflow).  Real code exhibits exactly this
             # bimodal reuse-distance shape.
-            recent = recent_fp if fp else recent_int
-            if rng.random() < profile.dep_locality:
+            if random_() < locality:
                 return recent[-1]
-            return recent[rng.randrange(len(recent))]
+            return recent[below(len(recent))]
 
-        def pick_condition() -> int:
-            # Branch conditions compare values computed a few instructions
-            # earlier (the compiler schedules compares early), so read from
-            # the old end of the producer window: the branch resolves as
-            # soon as it reaches the issue stage instead of tailing the
-            # newest dependence chain.
-            recent = recent_int
-            return recent[min(1, len(recent) - 1)]
+        def pick_second(recent: List[int], invariants: List[int]) -> int:
+            if invariants and random_() < invariant_prob:
+                return invariants[below(len(invariants))]
+            return pick_recent(recent)
 
-        def pick_second_operand(fp: bool) -> int:
-            invariants = plan.fp_invariants if fp else plan.int_invariants
-            if invariants and rng.random() < profile.invariant_operand_prob:
-                return invariants[rng.randrange(len(invariants))]
-            return pick_recent(fp)
-
+        int_cursor = fp_cursor = 0
+        emitted = 0
+        loop_cursor = 0
         while emitted < count:
-            loop = self.loops[loop_cursor]
-            loop_cursor = (loop_cursor + 1) % len(self.loops)
+            loop = loops[loop_cursor]
+            loop_cursor = (loop_cursor + 1) % len(loops)
             iterations = max(1, round(rng.expovariate(
                 1.0 / loop.mean_iterations)))
+            pointer = loop.pointer
+            induction, induction2 = loop.induction, loop.induction2
+            bases = (induction, induction2, pointer)
+            streams = loop.streams
+            blocks = loop.blocks
+            refresh_pc = blocks[0].pcs[0] - 4
+            update_pc = blocks[-1].branch_pc + 4
             for iteration in range(iterations):
                 # Refresh the loop's pointer register with a commutative
                 # address computation (base + scaled index).  Besides being
                 # what compiled loops do, this lets the pointer migrate
                 # between register subsets on a WSRS machine instead of
                 # pinning every address calculation to one bicluster.
-                pointer = loop.pointer
-                yield TraceInstruction(
-                    OpClass.IALU, dest=pointer, src1=loop.induction,
-                    src2=pick_recent(fp=False),
-                    pc=loop.blocks[0].pcs[0] - 4, commutative=True)
-                note_write(pointer, fp=False)
+                yield make(IALU, pointer, induction,
+                           pick_recent(recent_int), refresh_pc, False, 0,
+                           True)
+                if pointer in recent_int:
+                    recent_int.remove(pointer)
+                recent_int.append(pointer)
+                if len(recent_int) > window:
+                    del recent_int[0]
                 emitted += 1
                 if emitted >= count:
                     return
-                for block in loop.blocks:
+                for block in blocks:
                     for op, pc in zip(block.ops, block.pcs):
-                        inst = self._realize(
-                            op, pc, loop, rng, next_int_temp, next_fp_temp,
-                            note_write, pick_recent, pick_second_operand)
-                        yield inst
+                        src2 = None
+                        addr = 0
+                        commutative = False
+                        recent = recent_int
+                        if op is IALU:
+                            # Monadic (reg + immediate) or dyadic.
+                            dest = int_temps[int_cursor]
+                            int_cursor = (int_cursor + 1) % len(int_temps)
+                            if random_() < frac_monadic:
+                                src1 = pick_recent(recent_int)
+                            else:
+                                commutative = random_() < frac_commutative
+                                src1 = pick_recent(recent_int)
+                                src2 = pick_second(recent_int,
+                                                   int_invariants)
+                        elif op is LOAD:
+                            if pointer_chase and random_() < 0.15:
+                                # Serial chase: the loaded value is the
+                                # next address.
+                                dest = src1 = pointer
+                                addr = streams[0].base \
+                                    + below(streams[0].size) & ~7
+                            else:
+                                stream = streams[getrandbits(1)]
+                                if random_() < frac_fp_load:
+                                    dest = fp_temps[fp_cursor]
+                                    fp_cursor = (fp_cursor + 1) \
+                                        % len(fp_temps)
+                                    recent = recent_fp
+                                else:
+                                    dest = int_temps[int_cursor]
+                                    int_cursor = (int_cursor + 1) \
+                                        % len(int_temps)
+                                src1 = bases[below(3)]
+                                addr = stream.next_address()
+                        elif op is STORE:
+                            stream = streams[getrandbits(1)]
+                            src2 = pick_recent(
+                                recent_fp if fp_stores and random_() < 0.5
+                                else recent_int)
+                            src1 = induction if getrandbits(1) \
+                                else induction2
+                            yield make(STORE, None, src1, src2, pc, False,
+                                       stream.next_address(), False)
+                            emitted += 1
+                            if emitted >= count:
+                                return
+                            continue
+                        elif op is IMULDIV:
+                            dest = int_temps[int_cursor]
+                            int_cursor = (int_cursor + 1) % len(int_temps)
+                            src1 = pick_recent(recent_int)
+                            src2 = pick_second(recent_int, int_invariants)
+                        else:  # FPADD, FPMUL, FPDIV
+                            dest = fp_temps[fp_cursor]
+                            fp_cursor = (fp_cursor + 1) % len(fp_temps)
+                            recent = recent_fp
+                            src1 = pick_recent(recent_fp)
+                            src2 = pick_second(recent_fp, fp_invariants)
+                            commutative = op is not FPDIV
+                        yield make(op, dest, src1, src2, pc, False, addr,
+                                   commutative)
+                        if dest in recent:
+                            recent.remove(dest)
+                        recent.append(dest)
+                        if len(recent) > window:
+                            del recent[0]
                         emitted += 1
                         if emitted >= count:
                             return
                     # Block-terminating branch (conditional, monadic).
+                    # Branch conditions compare values computed a few
+                    # instructions earlier (the compiler schedules
+                    # compares early), so read from the old end of the
+                    # producer window: the branch resolves as soon as it
+                    # reaches the issue stage instead of tailing the
+                    # newest dependence chain.
                     if block.is_loop_back:
                         taken = iteration + 1 < iterations
                     else:
-                        taken = rng.random() < block.taken_bias
-                    yield TraceInstruction(
-                        OpClass.BRANCH, dest=None,
-                        src1=pick_condition(), src2=None,
-                        pc=block.branch_pc, taken=taken)
+                        taken = random_() < block.taken_bias
+                    yield make(BRANCH, None,
+                               recent_int[min(1, len(recent_int) - 1)],
+                               None, block.branch_pc, taken, 0, False)
                     emitted += 1
                     if emitted >= count:
                         return
@@ -396,77 +498,17 @@ class SyntheticTraceGenerator:
                 # add-immediate chains carried across iterations (real
                 # loops advance several index variables, which also keeps
                 # several independent dataflow lineages alive).
-                for offset, induction in enumerate(
-                        (loop.induction, loop.induction2)):
-                    yield TraceInstruction(
-                        OpClass.IALU, dest=induction, src1=induction,
-                        pc=block.branch_pc + 4 + 4 * offset, taken=False)
-                    note_write(induction, fp=False)
+                for offset, reg in enumerate((induction, induction2)):
+                    yield make(IALU, reg, reg, None, update_pc + 4 * offset,
+                               False, 0, False)
+                    if reg in recent_int:
+                        recent_int.remove(reg)
+                    recent_int.append(reg)
+                    if len(recent_int) > window:
+                        del recent_int[0]
                     emitted += 1
                     if emitted >= count:
                         return
-
-    def _realize(self, op: OpClass, pc: int, loop: _Loop,
-                 rng: random.Random, next_int_temp, next_fp_temp,
-                 note_write, pick_recent, pick_second_operand,
-                 ) -> TraceInstruction:
-        profile = self.profile
-        if op == OpClass.LOAD:
-            if profile.pointer_chase and rng.random() < 0.15:
-                # Serial chase: the loaded value is the next address.
-                pointer = loop.pointer
-                addr = (loop.streams[0].base
-                        + rng.randrange(loop.streams[0].size) & ~7)
-                inst = TraceInstruction(op, dest=pointer, src1=pointer,
-                                        pc=pc, addr=addr)
-                note_write(pointer, fp=False)
-                return inst
-            stream = loop.streams[rng.getrandbits(1)]
-            fp_dest = rng.random() < profile.frac_fp_load
-            dest = next_fp_temp() if fp_dest else next_int_temp()
-            bases = (loop.induction, loop.induction2, loop.pointer)
-            base = bases[rng.randrange(3)]
-            inst = TraceInstruction(op, dest=dest, src1=base, pc=pc,
-                                    addr=stream.next_address())
-            note_write(dest, fp=fp_dest)
-            return inst
-        if op == OpClass.STORE:
-            stream = loop.streams[rng.getrandbits(1)]
-            fp_data = profile.frac_fp_load > 0 and rng.random() < 0.5
-            data = pick_recent(fp=fp_data)
-            base = loop.induction if rng.getrandbits(1) else loop.induction2
-            return TraceInstruction(op, src1=base, src2=data,
-                                    pc=pc, addr=stream.next_address())
-        if op in (OpClass.FPADD, OpClass.FPMUL, OpClass.FPDIV):
-            dest = next_fp_temp()
-            src1 = pick_recent(fp=True)
-            src2 = pick_second_operand(fp=True)
-            inst = TraceInstruction(
-                op, dest=dest, src1=src1, src2=src2, pc=pc,
-                commutative=op != OpClass.FPDIV)
-            note_write(dest, fp=True)
-            return inst
-        if op == OpClass.IMULDIV:
-            dest = next_int_temp()
-            inst = TraceInstruction(op, dest=dest,
-                                    src1=pick_recent(fp=False),
-                                    src2=pick_second_operand(fp=False),
-                                    pc=pc, commutative=False)
-            note_write(dest, fp=False)
-            return inst
-        # Integer ALU: monadic (reg + immediate) or dyadic.
-        dest = next_int_temp()
-        if rng.random() < profile.frac_alu_monadic:
-            inst = TraceInstruction(op, dest=dest,
-                                    src1=pick_recent(fp=False), pc=pc)
-        else:
-            commutative = rng.random() < profile.frac_commutative
-            inst = TraceInstruction(op, dest=dest,
-                                    src1=pick_recent(fp=False),
-                                    src2=pick_second_operand(fp=False),
-                                    pc=pc, commutative=commutative)
-        note_write(dest, fp=False)
-        return inst
 
 
 def generate_trace(profile: WorkloadProfile, count: int,

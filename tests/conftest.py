@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 import pytest
 
@@ -71,6 +71,16 @@ def random_trace(count: int, seed: int = 0, num_int: int = 32,
                               rng.choice(int_regs), pc=pc,
                               commutative=rng.random() < 0.5))
     return trace
+
+
+def trace_fields(instructions: Iterable[TraceInstruction]) -> List[tuple]:
+    """Every field of every instruction, each with its type: an int
+    where an :class:`OpClass` belongs, or 1 for True, would pickle to
+    different bits."""
+    names = ("op", "dest", "src1", "src2", "pc", "taken", "addr",
+             "commutative")
+    return [tuple((getattr(inst, name), type(getattr(inst, name)))
+                  for name in names) for inst in instructions]
 
 
 @pytest.fixture

@@ -118,7 +118,7 @@ class TestCommands:
         assert code == 0
         assert "IPC" in capsys.readouterr().out
 
-    def test_simulate_reference_gear_matches_fast_path(self, capsys):
+    def test_simulate_reference_gear_matches_specialized(self, capsys):
         argv = ["simulate", "vpr", "--config", "RR 256",
                 "--measure", "1500", "--warmup", "500"]
         assert main(argv + ["--gear", "reference"]) == 0

@@ -161,33 +161,8 @@ class TestMuldivParking:
 
 
 class TestNextWakeCycle:
-    def test_empty_queues(self):
-        sched = scheduler()
-        assert sched.next_wake_cycle() is None
-        assert not sched.has_ready
-
-    def test_earliest_pending_entry(self):
-        sched = scheduler()
-        sched.enqueue(make_uop(0), 7)
-        sched.enqueue(make_uop(1), 3)
-        assert sched.next_wake_cycle() == 3
-
-    def test_ready_entries_are_not_pending(self):
-        # Already-woken entries must not look like a future wake-up:
-        # callers combine next_wake_cycle() with has_ready.
-        sched = scheduler()
-        sched.enqueue(make_uop(0), 1)
-        sched.wake(1)
-        assert sched.next_wake_cycle() is None
-        assert sched.has_ready
-
-    def test_mixed_pending_and_ready(self):
-        sched = scheduler()
-        sched.enqueue(make_uop(0), 1)
-        sched.enqueue(make_uop(1), 9)
-        sched.wake(1)
-        assert sched.next_wake_cycle() == 9
-        assert sched.has_ready
+    """Entries due at one cycle wake together, in age order; later ones
+    stay pending until their own wake-up cycle."""
 
     def test_bulk_wake_preserves_age_order(self):
         sched = scheduler(width=8, alus=8)
@@ -196,7 +171,8 @@ class TestNextWakeCycle:
         sched.enqueue(make_uop(9), 10)  # stays pending
         picked = sched.select(2)
         assert [u.seq for u in picked] == [0, 1, 3, 4, 6]
-        assert sched.next_wake_cycle() == 10
+        assert sched.select(9) == []
+        assert [u.seq for u in sched.select(10)] == [9]
 
 
 class TestRejectedAgeOrdering:

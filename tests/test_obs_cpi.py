@@ -90,7 +90,7 @@ class TestClassification:
     def test_nothing_moved_is_drain(self):
         assert CycleAccountant.classify(_zero_deltas(), None) == "drain"
 
-    def test_jump_causes_mirror_fast_path_tags(self):
+    def test_jump_causes_mirror_specialized_tags(self):
         memory_head = _FakeHead(is_memory=True)
         assert CycleAccountant.jump_cause("branch", None) == "branch"
         assert CycleAccountant.jump_cause("rob", memory_head) == "memory"

@@ -16,7 +16,8 @@ import time
 
 import pytest
 
-from repro.config import baseline_rr_256, wsrs_rc
+from repro.config import baseline_rr_256, two_cluster_4way, wsrs_rc
+from repro.core.processor import Processor
 from repro.experiments.runner import (
     ExperimentInterrupted,
     RunSpec,
@@ -29,6 +30,8 @@ from repro.experiments.runner import (
     sigterm_interrupts,
     warm_trace_cache,
 )
+from repro.trace import cache as cache_mod
+from repro.trace.cache import TraceCache
 
 MINI_BENCHMARKS = ("gzip", "mcf", "wupwise")
 MINI_MEASURE = 2_000
@@ -206,6 +209,36 @@ class TestParallelSerialParity:
                 assert ours.stats.summary() == theirs.stats.summary()
                 assert (ours.stats.cluster_issued
                         == theirs.stats.cluster_issued)
+
+    def test_forked_workers_extend_their_own_trace_tail(self, monkeypatch):
+        # A 2-cluster 4-way machine holds fewer instructions in flight
+        # than an 8-way one, so the two read different stretches of the
+        # lazily generated slack tail.
+        configs = [two_cluster_4way(), baseline_rr_256()]
+        specs = matrix_specs(configs, ("gzip",), measure=MINI_MEASURE,
+                             warmup=MINI_WARMUP)
+        prefix = MINI_MEASURE + MINI_WARMUP
+        cache = TraceCache()
+        monkeypatch.setattr(cache_mod, "_default_cache", cache)
+        parallel = execute_many(specs, workers=2)
+        entry = cache.get("gzip", specs[0].trace_length)
+        # The parent warmed the eager prefix only; the workers'
+        # extensions of the tail stayed in the workers.
+        assert entry.generated == prefix
+        serial = execute_many(specs, workers=1)
+        assert entry.generated > prefix
+        for ours, theirs in zip(serial, parallel):
+            assert ours.stats.summary() == theirs.stats.summary()
+            assert ours.stats.cluster_issued == theirs.stats.cluster_issued
+
+        overruns = set()
+        for config in configs:
+            trace = iter(entry)
+            Processor(config, trace).run(measure=MINI_MEASURE,
+                                         warmup=MINI_WARMUP)
+            unread = sum(1 for _ in trace)
+            overruns.add(len(entry) - unread - prefix)
+        assert len(overruns) == len(configs) and min(overruns) > 0
 
     def test_run_matrix_progress_callback_signature(self):
         rows = []

@@ -1,10 +1,14 @@
 """Tests for the keyed trace cache (:mod:`repro.trace.cache`)."""
 
 import pickle
+import sys
+import threading
+from itertools import islice
 
 from repro.trace import cache as cache_mod
 from repro.trace.cache import (
     DEFAULT_CAPACITY,
+    TRACE_SLACK,
     TraceCache,
     cached_spec_trace,
     configure,
@@ -13,6 +17,7 @@ from repro.trace.cache import (
 )
 from repro.trace.profiles import spec_trace
 from repro.trace.synthetic import GENERATOR_VERSION
+from tests.conftest import trace_fields as fields
 
 
 class TestKey:
@@ -33,9 +38,7 @@ class TestMemoryTier:
         cached = cache.get("gzip", 500, seed=3)
         direct = list(spec_trace("gzip", 500, seed=3))
         assert len(cached) == 500
-        assert [i.op for i in cached] == [i.op for i in direct]
-        assert [i.dest for i in cached] == [i.dest for i in direct]
-        assert [i.src1 for i in cached] == [i.src1 for i in direct]
+        assert fields(cached) == fields(direct)
 
     def test_hit_and_miss_accounting(self):
         cache = TraceCache()
@@ -74,7 +77,7 @@ class TestDiskTier:
         reader = TraceCache(disk_dir=str(tmp_path))
         again = reader.get("gzip", 400, seed=2)
         assert reader.disk_hits == 1 and reader.misses == 0
-        assert [i.op for i in again] == [i.op for i in trace]
+        assert fields(again) == fields(trace)
 
     def test_corrupt_file_is_regenerated(self, tmp_path):
         writer = TraceCache(disk_dir=str(tmp_path))
@@ -100,6 +103,84 @@ class TestDiskTier:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestLazyEntries:
+    """A miss materialises ``length - TRACE_SLACK`` instructions; the
+    slack tail is generated on demand, as the same stream."""
+
+    LENGTH = TRACE_SLACK + 700
+
+    def test_miss_materialises_only_the_eager_prefix(self):
+        cache = TraceCache()
+        entry = cache.get("gzip", self.LENGTH, seed=4)
+        assert len(entry) == self.LENGTH
+        assert entry.generated == 700
+        assert len(cache.get("gzip", 100)) == 100  # all of it lazy
+        assert cache.get("gzip", 100).generated == 0
+
+    def test_interleaved_iterators_see_the_full_stream(self):
+        entry = TraceCache().get("mcf", self.LENGTH, seed=4)
+        first, second = iter(entry), iter(entry)
+        a = list(islice(first, 1_500))    # into the tail
+        b = list(islice(second, 300))     # still in the prefix
+        while True:
+            # Alternate single steps; each may extend the shared tail.
+            x, y = next(first, None), next(second, None)
+            if x is not None:
+                a.append(x)
+            if y is not None:
+                b.append(y)
+            if x is None and y is None:
+                break
+        assert len(a) == len(b) == self.LENGTH
+        assert all(x is y for x, y in zip(a, b))
+        assert fields(a) == fields(spec_trace("mcf", self.LENGTH, seed=4))
+
+    def test_no_instruction_past_length(self):
+        for length in (1, 255, 256, 257, TRACE_SLACK + 1):
+            entry = TraceCache().get("swim", length, seed=2)
+            assert len(list(entry)) == length
+            assert entry.generated == length
+            assert len(list(entry)) == length  # once complete, too
+            assert fields(entry) == fields(spec_trace("swim", length,
+                                                      seed=2))
+
+    def test_threads_extending_one_tail_lose_nothing(self):
+        entry = TraceCache().get("gcc", self.LENGTH, seed=6)
+        streams = [[] for _ in range(4)]
+        threads = [threading.Thread(target=stream.extend, args=(entry,))
+                   for stream in streams]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        direct = fields(spec_trace("gcc", self.LENGTH, seed=6))
+        for stream in streams:
+            assert fields(stream) == direct
+        assert entry.generated == self.LENGTH
+
+    def test_disk_tier_round_trips_full_length_tuples(self, tmp_path):
+        writer = TraceCache(disk_dir=str(tmp_path))
+        entry = writer.get("gzip", self.LENGTH, seed=2)
+        assert entry.generated == self.LENGTH  # written whole
+        (path,) = tmp_path.iterdir()
+        with open(path, "rb") as handle:
+            stored = pickle.load(handle)
+        assert isinstance(stored, tuple) and len(stored) == self.LENGTH
+        direct = fields(spec_trace("gzip", self.LENGTH, seed=2))
+        assert fields(stored) == direct
+        reader = TraceCache(disk_dir=str(tmp_path))
+        again = reader.get("gzip", self.LENGTH, seed=2)
+        assert reader.disk_hits == 1 and reader.misses == 0
+        assert again.generated == self.LENGTH
+        assert fields(again) == direct
+
+
 class TestModuleLevel:
     def test_configure_replaces_default(self, monkeypatch):
         monkeypatch.setattr(cache_mod, "_default_cache", None)
@@ -114,7 +195,8 @@ class TestModuleLevel:
         a = list(cached_spec_trace("gzip", 150, seed=5))
         b = list(cached_spec_trace("gzip", 150, seed=5))
         assert len(a) == len(b) == 150
-        assert a == b  # same underlying tuple entries
+        # Both iterate the one cache entry: the very same instructions.
+        assert all(x is y for x, y in zip(a, b))
 
     def test_default_capacity_bound(self, monkeypatch):
         monkeypatch.setattr(cache_mod, "_default_cache", None)
