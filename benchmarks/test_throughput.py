@@ -8,7 +8,6 @@ throughput.  Useful for catching performance regressions in the core.
 
 from repro.config import baseline_rr_256, wsrs_rc
 from repro.core.processor import simulate
-from repro.experiments import throughput
 from repro.frontend.gskew import TwoBcGskewPredictor
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.trace.profiles import get_profile, spec_trace
@@ -61,24 +60,6 @@ def test_predictor_throughput(benchmark):
 
     hits = benchmark.pedantic(run, rounds=3, iterations=1)
     assert hits > 0
-
-
-def test_sweep_engine_throughput(benchmark, tmp_path):
-    """The experiment engine end to end: BENCH_throughput.json record."""
-    out = tmp_path / "BENCH_throughput.json"
-
-    def run():
-        return throughput.run(benchmarks=["gzip", "mcf"],
-                              configs=[baseline_rr_256(), wsrs_rc(512)],
-                              measure=4_000, warmup=3_000, workers=1,
-                              out=str(out), print_summary=False)
-
-    record = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert out.exists()
-    assert record["cells"] == 4
-    assert record["cells_per_min"] > 0
-    assert record["sim_kips"] > 0
-    assert set(record["phases"]) == {"trace_warm_s", "sweep_s", "total_s"}
 
 
 def test_cache_throughput(benchmark):

@@ -12,7 +12,7 @@ Subcommands map one-to-one onto the paper's evaluation artifacts::
     wsrs sensitivity               # penalty/memory/width/predictor sweeps
     wsrs microbench                # run the assembly kernels
     wsrs savetrace gzip out.trace  # freeze a workload to a file
-    wsrs throughput                # sweep throughput -> BENCH_throughput.json
+    wsrs ab BASE [--seconds S]     # same-host perfbench A/B against BASE
     wsrs profile [--quick]         # core-loop profile -> BENCH_core.json
     wsrs stacks                    # CPI stacks per (benchmark, config)
     wsrs trace gzip --out t.jsonl.gz   # structured pipeline event trace
@@ -33,8 +33,8 @@ runs the cycle-level pipeline sanitizer of :mod:`repro.verify.sanitizer`
 alongside the simulation and aborts with a structured violation if any
 WS/RS structural invariant is broken.
 
-Matrix-shaped commands (figure4, figure5, ablations, sensitivity,
-throughput) accept ``--workers N`` to fan the independent cells out over
+Matrix-shaped commands (figure4, figure5, ablations, sensitivity)
+accept ``--workers N`` to fan the independent cells out over
 a process pool (default: every core).  ``--workers 1`` forces the
 strictly serial in-process path - per-cell results are bit-identical,
 so the knob only trades wall-clock for debuggability.
@@ -246,42 +246,25 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_throughput(args: argparse.Namespace) -> int:
-    from repro.experiments import throughput
+def _cmd_ab(args: argparse.Namespace) -> int:
+    from repro.experiments import ab
 
-    throughput.run(benchmarks=args.benchmarks, measure=args.measure,
-                   warmup=args.warmup, seed=args.seed,
-                   workers=args.workers, out=args.out)
-    return 0
+    try:
+        report = ab.run(args.base, seconds=args.seconds)
+    except ab.ABError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(ab.format_report(report))
+    return 0 if report["ok"] else 1
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.experiments import perf_history, profile
+    from repro.experiments import profile
 
     benchmark = args.benchmark or profile.DEFAULT_BENCHMARK
     record = profile.run(benchmark=benchmark, seed=args.seed,
                          quick=args.quick, out=args.out)
-    regressed = False
-    if args.check_regression:
-        # Gate against the last *committed* record, before this run is
-        # appended to the trajectory.
-        tolerance = (args.regression_tolerance
-                     if args.regression_tolerance is not None
-                     else perf_history.DEFAULT_TOLERANCE)
-        ok, messages = perf_history.check_regression(
-            record, path=args.history or perf_history.DEFAULT_HISTORY,
-            tolerance=tolerance)
-        regressed = not ok
-        for message in messages:
-            print(f"perf-history: {message}",
-                  file=sys.stderr if regressed else sys.stdout)
-    if args.history:
-        line = perf_history.append_record(record, path=args.history)
-        print(f"perf-history: appended {line['sha']} ({line['date']}) "
-              f"to {args.history}")
     if not record["identical"]:
-        return 1
-    if regressed:
         return 1
     if args.min_specialized_speedup is not None:
         floor = args.min_specialized_speedup
@@ -459,8 +442,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             kill_test=not args.no_kill,
             cell_delay_ms=args.cell_delay_ms
             if args.cell_delay_ms is not None
-            else loadtest.DEFAULT_CELL_DELAY_MS,
-            history=args.history)
+            else loadtest.DEFAULT_CELL_DELAY_MS)
         if args.min_speedup is not None \
                 and record["speedup"] < args.min_speedup:
             print(f"fleet speedup {record['speedup']}x below the "
@@ -654,14 +636,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_slice_arguments(pv)
     pv.set_defaults(func=_cmd_sensitivity)
 
-    pp = sub.add_parser(
-        "throughput",
-        help="measure sweep throughput, write BENCH_throughput.json")
-    _add_slice_arguments(pp)
-    pp.set_defaults(measure=20_000, warmup=20_000)
-    pp.add_argument("--out", default="BENCH_throughput.json",
-                    help="JSON record path")
-    pp.set_defaults(func=_cmd_throughput)
+    pb = sub.add_parser(
+        "ab",
+        help="same-host A/B gate: interleaved perfbench pairs of BASE "
+             "against the working tree")
+    pb.add_argument("base", metavar="BASE",
+                    help="commit to compare against (checked out into a "
+                         "temporary git worktree)")
+    pb.add_argument("--seconds", type=float, default=None, metavar="S",
+                    help="run length per benchmark run (default: "
+                         "BENCHMARK.json's run_seconds)")
+    pb.set_defaults(func=_cmd_ab)
 
     pc = sub.add_parser(
         "profile",
@@ -682,21 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "at least X times faster than the reference "
                          "stepper on every configuration (the CI "
                          "perf-smoke gate)")
-    pc.add_argument("--history", default=None, metavar="PATH",
-                    help="perf-trajectory JSONL to append this run to "
-                         "(default: append nowhere; --check-regression "
-                         "reads BENCH_history.jsonl unless given this)")
-    pc.add_argument("--check-regression", action="store_true",
-                    help="exit non-zero when any configuration's "
-                         "specialized-gear KIPS falls below the "
-                         "tolerance times the last comparable record "
-                         "in the history file")
-    pc.add_argument("--regression-tolerance", type=float, default=None,
-                    metavar="F",
-                    help="fraction of the committed KIPS a fresh run "
-                         "must reach (default 0.5; wall-clock varies "
-                         "across machines, the gate is for structural "
-                         "regressions)")
     pc.set_defaults(func=_cmd_profile)
 
     pk = sub.add_parser(
@@ -911,9 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit non-zero unless the largest fleet's "
                          "throughput is at least X times the 1-worker "
                          "baseline (--fleet only; the CI gate)")
-    py.add_argument("--history", default=None, metavar="PATH",
-                    help="append a kind:fleet line to this perf-history "
-                         "JSONL (--fleet only)")
     py.set_defaults(func=_cmd_loadtest)
 
     pq = sub.add_parser(

@@ -7,8 +7,7 @@ from repro.experiments import (
     report,
     sensitivity,
     table1,
-    throughput,
 )
 
 __all__ = ["ablations", "figure4", "figure5", "report", "sensitivity",
-           "table1", "throughput"]
+           "table1"]

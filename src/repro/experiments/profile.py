@@ -1,11 +1,12 @@
 """Core-loop profiling instrument (``BENCH_core.json``).
 
-Where :mod:`repro.experiments.throughput` measures the *sweep engine*
-(cells/min across a process pool), this module measures the *core
-simulation loop* itself: one cell per section-5 configuration, run twice
-on the same pre-materialised trace - reference per-cycle stepper and
-the config-specialized stepper (:mod:`repro.core.specialize`) - and
-cross-checked for bit-identical statistics.  The record keeps the
+Where the repository benchmark (``perfbench/``, compared across
+commits by :mod:`repro.experiments.ab`) times whole workloads, this
+module measures the *core simulation loop* itself: one cell per
+section-5 configuration, run twice on the same pre-materialised trace
+- reference per-cycle stepper and the config-specialized stepper
+(:mod:`repro.core.specialize`) - and cross-checked for bit-identical
+statistics.  The record keeps the
 speedups tracked artifacts instead of claims:
 
 * **sim-KIPS per gear** - thousands of simulated instructions retired

@@ -45,8 +45,7 @@ harness answers the extra questions a *fleet* raises:
 Fleet traces are pre-generated through a shared on-disk trace cache
 (``WSRS_TRACE_CACHE``) by the direct ground-truth run, so no fleet pays
 trace-generation cost and the node-count comparison measures
-simulation, not workload synthesis.  The fleet record is appended to
-the perf-history JSONL with ``kind: "fleet"`` on request.
+simulation, not workload synthesis.
 
 Every JSON record is published atomically (:mod:`repro.atomicio`), so a
 monitoring job never reads a torn benchmark file.
@@ -354,15 +353,13 @@ def run_fleet(workers: int = 3, clients: int = 8,
               poll_interval: float = 0.02, job_timeout: float = 600.0,
               kill_test: bool = True,
               cell_delay_ms: float = DEFAULT_CELL_DELAY_MS,
-              history: Optional[str] = None,
               announce: Callable[[str], None] = print) -> Dict:
     """Run the fleet bench; returns (and optionally writes) the record.
 
     ``workers`` is the *largest* fleet; scaling points run at every
     node count from 1 to ``workers``.  ``server_workers`` is each
     node's pool size (1 keeps the scaling clean: N nodes = N cells in
-    flight).  ``history`` appends a ``kind: "fleet"`` line to the
-    perf-history JSONL.
+    flight).
     """
     from repro.fleet.local import LocalFleet
 
@@ -477,12 +474,6 @@ def run_fleet(workers: int = 3, clients: int = 8,
         if out:
             atomic_write_json(out, record, indent=2)
             announce(f"fleet bench: wrote {out}")
-        if history:
-            from repro.experiments.perf_history import \
-                append_fleet_record
-
-            append_fleet_record(record, path=history)
-            announce(f"fleet bench: appended fleet line to {history}")
         announce(f"fleet bench: identical={identical} "
                  f"speedup={speedup}x "
                  f"({workers} worker(s) vs 1)")

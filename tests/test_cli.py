@@ -135,21 +135,11 @@ class TestCommands:
 
     def test_profile_quick_writes_record(self, capsys, tmp_path):
         import json
-        from pathlib import Path
 
-        # The committed trajectory must not pick up test-time records:
-        # both outputs go to the temp dir.
-        committed = Path(__file__).resolve().parents[1] \
-            / "BENCH_history.jsonl"
-        before = committed.read_bytes() if committed.exists() else None
         out = tmp_path / "BENCH_core.json"
-        history = tmp_path / "BENCH_history.jsonl"
         code = main(["profile", "--quick", "--benchmark", "gzip",
-                     "--out", str(out), "--history", str(history)])
+                     "--out", str(out)])
         assert code == 0
-        after = committed.read_bytes() if committed.exists() else None
-        assert after == before
-        assert len(history.read_text(encoding="utf-8").splitlines()) == 1
         record = json.loads(out.read_text(encoding="utf-8"))
         assert record["identical"] is True
         assert len(record["cells"]) == 6
@@ -160,16 +150,33 @@ class TestCommands:
         assert "s-speed" in output
         assert "DIVERGED" not in output
 
-    def test_profile_appends_history_only_when_asked(
-            self, capsys, tmp_path, monkeypatch):
+    @staticmethod
+    def _fake_profile(monkeypatch, identical, speedups):
         from repro.experiments import profile
 
-        monkeypatch.setattr(profile, "run",
-                            lambda **_kwargs: {"identical": True,
-                                               "cells": []})
-        monkeypatch.chdir(tmp_path)
-        history = tmp_path / "BENCH_history.jsonl"
-        history.write_bytes(b'{"sha": "committed"}\n')
-        assert main(["profile", "--quick"]) == 0
-        assert history.read_bytes() == b'{"sha": "committed"}\n'
-        assert "perf-history" not in capsys.readouterr().out
+        cells = [{"config": name, "identical": identical,
+                  "specialized_speedup": speedup}
+                 for name, speedup in speedups.items()]
+        monkeypatch.setattr(profile, "run", lambda **_kwargs: {
+            "identical": identical, "cells": cells})
+
+    def test_profile_fails_when_a_cell_diverges(self, monkeypatch):
+        self._fake_profile(monkeypatch, False, {"RR 256": 3.0})
+        assert main(["profile", "--quick",
+                     "--min-specialized-speedup", "2"]) == 1
+
+    def test_profile_speedup_floor_names_the_slow_config(
+            self, capsys, monkeypatch):
+        self._fake_profile(monkeypatch, True,
+                           {"RR 256": 3.0, "WSRS RC S 512": 1.5})
+        assert main(["profile", "--quick",
+                     "--min-specialized-speedup", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "WSRS RC S 512 (1.50x)" in err
+        assert "RR 256" not in err
+
+    def test_profile_speedup_floor_passes_at_the_floor(self, monkeypatch):
+        self._fake_profile(monkeypatch, True,
+                           {"RR 256": 2.0, "WSRS RC S 512": 2.0})
+        assert main(["profile", "--quick",
+                     "--min-specialized-speedup", "2"]) == 0
