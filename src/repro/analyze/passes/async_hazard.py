@@ -16,7 +16,8 @@ services:
     ``urllib.request.urlopen`` - the coordinator's heartbeat and
     forwarding paths must use the async :mod:`repro.fleet.netio`
     client), or a call into the disk-backed result store
-    (``store.put``/``get``/``keys``/``evict_expired``/``stats``).
+    (``store.put``/``get``/``keys``/``evict_expired``/``stats``/
+    ``put_record``/``get_record``).
     Any of these stalls the entire event loop - every other request,
     heartbeat and timeout in the process waits behind it.  Route the
     call through ``loop.run_in_executor(...)`` instead.
@@ -77,7 +78,8 @@ _BLOCKING_METHODS = {
 
 #: Methods of the disk-backed result store (every one touches the
 #: filesystem); flagged when the receiver chain mentions a store.
-_STORE_METHODS = {"put", "get", "keys", "evict_expired", "stats"}
+_STORE_METHODS = {"put", "get", "keys", "evict_expired", "stats",
+                  "put_record", "get_record"}
 
 #: Synchronous HTTP entry points: constructing an ``http.client``
 #: connection or calling ``urllib.request.urlopen`` blocks the thread

@@ -22,6 +22,7 @@ import contextlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -36,6 +37,10 @@ PAIRS = 10
 SEED_BASE = 1001
 #: A side that wins (or loses) at least this many pairs moved.
 DECISIVE_PAIRS = 9
+#: Longest one benchmark run may take (seconds): ``perfbench/run.py``
+#: kills its workload after its ``RUN_LIMIT_S`` of 170 s, but not the
+#: workload's own children, which can hold its stdout open for ever.
+RUN_BOUND_S = 230.0
 
 SIDES = ("base", "change")
 
@@ -123,17 +128,31 @@ def base_worktree(root: str, commit: str) -> Iterator[str]:
                        capture_output=True)
 
 
-def run_benchmark(tree: str, workload: str, seed: int,
-                  seconds: float) -> Dict:
-    """One ``perfbench/run.py`` run in ``tree``; its result line."""
+def run_benchmark(tree: str, workload: str, seed: int, seconds: float,
+                  side: str) -> Dict:
+    """One ``perfbench/run.py`` run in ``tree``; its result line.
+
+    The run gets a session of its own, so when it outlives
+    :data:`RUN_BOUND_S` its whole process group is killed.
+    """
     env = {name: value for name, value in os.environ.items()
            if name != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
-        cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
-    lines = proc.stdout.strip().splitlines()
+    with subprocess.Popen(
+            [sys.executable, os.path.join("perfbench", "run.py"),
+             "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds)],
+            cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
+            start_new_session=True) as proc:
+        try:
+            stdout, _ = proc.communicate(timeout=RUN_BOUND_S)
+        except subprocess.TimeoutExpired:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise ABError(f"perfbench {workload} seed {seed} ({side}) "
+                          f"did not finish within {RUN_BOUND_S:g} s; "
+                          f"killed its process group") from None
+    lines = stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise ABError(f"perfbench {workload} seed {seed} in {tree} exited "
                       f"with code {proc.returncode}")
@@ -172,7 +191,7 @@ def run(base: str, seconds: Optional[float] = None) -> Dict:
                 for side in order:
                     start = time.perf_counter()
                     result = run_benchmark(trees[side], workload, seed,
-                                           seconds)
+                                           seconds, side)
                     runs[workload][side].append(result)
                     print(f"ab: pair {index + 1}/{PAIRS} {workload} "
                           f"seed {seed} {side:<6s} "

@@ -20,8 +20,13 @@ backend owns exactly four things:
   misses (unreachable, or answering but *draining*) declare the node
   dead and drop it from the ring.  A dead node that answers again
   rejoins (revival), reclaiming exactly its old key ranges.
+* **Forwarding.**  A job is POSTed to its node, then awaited with
+  held ``GET /v1/jobs/<id>?wait=`` requests, each at most
+  ``forward_timeout / 2`` and never past the job deadline.  A hold
+  races the job's cancel request, so a client's DELETE reaches the
+  node as soon as it arrives.
 * **Requeue.**  A job in flight on a node that dies - transport failure
-  mid-poll, or a worker-side cancellation the client never asked for -
+  mid-hold, or a worker-side cancellation the client never asked for -
   is requeued through the ring (excluding the lost node) by the core's
   :meth:`~repro.service.scheduler.Scheduler._requeue`, the same bounded
   ``retry_budget`` the pool backend applies to worker-process crashes:
@@ -76,10 +81,9 @@ class FleetConfig:
     heartbeat_interval: float = 0.5
     #: Consecutive missed heartbeats before a node is declared dead.
     heartbeat_misses: int = 3
-    #: Per-HTTP-request timeout when talking to workers (seconds).
+    #: Per-HTTP-request timeout when talking to workers (seconds);
+    #: a held GET lasts at most half of it.
     forward_timeout: float = 10.0
-    #: How often the coordinator polls a worker for job progress.
-    poll_interval: float = 0.05
     #: Route to the secondary owner when the primary holds at least
     #: this many more outstanding jobs (0 disables spilling).
     spill_threshold: int = 4
@@ -124,6 +128,8 @@ class FleetCoordinator(Backend):
         self.ring = HashRing(vnodes=self.config.vnodes)
         self._static_workers = list(workers)
         self._node_of: Dict[str, str] = {}   # job id -> worker url
+        #: Set when the client cancels a forwarded job (job id keyed).
+        self._cancels: Dict[str, asyncio.Event] = {}
         self._tasks: List["asyncio.Task"] = []
         self._heartbeat_task: Optional["asyncio.Task"] = None
 
@@ -156,10 +162,10 @@ class FleetCoordinator(Backend):
         node.alive = False
         self.ring.remove(node.url)
         self.registry.count("fleet_node_deaths_total")
-        # In-flight jobs on this node notice on their next poll (the
-        # transport fails, or the worker reports a drain-cancel) and
-        # requeue themselves through the ring, which no longer contains
-        # this node.
+        # In-flight jobs on this node notice when their held GET ends
+        # (the transport fails, or the worker reports a drain-cancel)
+        # and requeue themselves through the ring, which no longer
+        # contains this node.
 
     def _revive(self, node: WorkerNode) -> None:
         node.alive = True
@@ -190,6 +196,12 @@ class FleetCoordinator(Backend):
         if len(self._tasks) > 64:
             self._tasks = [item for item in self._tasks
                            if not item.done()]
+
+    def cancel(self, job: Job) -> None:
+        """Wake the job's held GET so the DELETE goes out now."""
+        cancelled = self._cancels.get(job.id)
+        if cancelled is not None:
+            cancelled.set()
 
     async def stop(self) -> None:
         pending = [task for task in self._tasks if not task.done()]
@@ -309,10 +321,15 @@ class FleetCoordinator(Backend):
                                  error=f"timeout after "
                                        f"{core.config.job_timeout:.0f}s")
                     return
-                self._fold(job, record)
-                if job.state == jobmodel.DONE and core.store is not None:
+                result = record.get("result")
+                if (record.get("state") == jobmodel.DONE
+                        and isinstance(result, dict)
+                        and core.store is not None):
+                    # Stored before the finish, which retires the job's
+                    # record without its result.
                     await asyncio.get_running_loop().run_in_executor(
-                        None, core.store.put, job.key, job.result)
+                        None, core.store.put, job.key, result)
+                self._fold(job, record)
                 return
         except asyncio.CancelledError:
             if not job.terminal:
@@ -331,15 +348,16 @@ class FleetCoordinator(Backend):
 
     async def _forward_and_wait(self, job: Job, node: WorkerNode,
                                 deadline: float) -> Dict:
-        """Submit to one worker and poll until the job is terminal there.
+        """Submit to one worker and hold GETs until the job is terminal
+        there.
 
         Raises :class:`NodeLost` when the node stops being a usable home
         for the job, :class:`asyncio.TimeoutError` past the deadline.
         """
-        config = self.config
         headers = {"X-Client": f"fleet:{job.client}"}
         node.outstanding += 1
         self._node_of[job.id] = node.url
+        cancelled = self._cancels[job.id] = asyncio.Event()
         self.core._begin(job)
         if job.started_at is None:
             job.started_at = time.time()
@@ -349,7 +367,8 @@ class FleetCoordinator(Backend):
             remote_id = record["id"]
             cancel_sent = False
             while record.get("state") not in jobmodel.TERMINAL_STATES:
-                if time.monotonic() >= deadline:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     await self._try_cancel_remote(node, remote_id,
                                                   headers)
                     raise asyncio.TimeoutError
@@ -357,19 +376,9 @@ class FleetCoordinator(Backend):
                     await self._try_cancel_remote(node, remote_id,
                                                   headers)
                     cancel_sent = True
-                await asyncio.sleep(config.poll_interval)
-                try:
-                    status, _h, data = await request_json(
-                        node.url, "GET", f"/v1/jobs/{remote_id}",
-                        headers=headers,
-                        timeout=config.forward_timeout)
-                except TransportError as exc:
-                    raise NodeLost(f"{node.url} unreachable mid-poll: "
-                                   f"{exc}") from exc
-                if status != 200 or not isinstance(data, dict):
-                    raise NodeLost(f"{node.url} lost track of forwarded "
-                                   f"job {remote_id} (HTTP {status})")
-                record = data
+                record = await self._hold(
+                    node, remote_id, headers, remaining,
+                    None if cancel_sent else cancelled) or record
             if (record.get("state") == jobmodel.CANCELLED
                     and not job.cancel_requested):
                 # The worker cancelled work the client never asked to
@@ -379,8 +388,41 @@ class FleetCoordinator(Backend):
             return record
         finally:
             node.outstanding -= 1
+            self._cancels.pop(job.id, None)
             # Leave _node_of as the last node that held the job; the
             # next forward overwrites it and _dispatch clears it.
+
+    async def _hold(self, node: WorkerNode, remote_id: str,
+                    headers: Dict[str, str], remaining: float,
+                    cancelled: Optional[asyncio.Event]) -> Optional[Dict]:
+        """The job's record on ``node`` from one GET held for at most
+        ``forward_timeout / 2`` and ``remaining`` seconds; None when
+        ``cancelled`` is set first, so the caller can send the DELETE."""
+        wait = min(remaining, self.config.forward_timeout / 2.0)
+        loop = asyncio.get_running_loop()
+        held = loop.create_task(request_json(
+            node.url, "GET", f"/v1/jobs/{remote_id}?wait={wait:.3f}",
+            headers=headers, timeout=self.config.forward_timeout))
+        try:
+            if cancelled is not None:
+                woken = loop.create_task(cancelled.wait())
+                try:
+                    await asyncio.wait((held, woken),
+                                       return_when=asyncio.FIRST_COMPLETED)
+                finally:
+                    woken.cancel()
+                if not held.done():
+                    return None
+            status, _h, data = await held
+        except TransportError as exc:
+            raise NodeLost(f"{node.url} unreachable mid-hold: "
+                           f"{exc}") from exc
+        finally:
+            held.cancel()
+        if status != 200 or not isinstance(data, dict):
+            raise NodeLost(f"{node.url} lost track of forwarded "
+                           f"job {remote_id} (HTTP {status})")
+        return data
 
     async def _forward(self, job: Job, node: WorkerNode,
                        headers: Dict[str, str],
@@ -432,7 +474,7 @@ class FleetCoordinator(Backend):
                                f"/v1/jobs/{remote_id}", headers=headers,
                                timeout=self.config.forward_timeout)
         except TransportError:
-            pass  # the poll loop will classify the node's fate
+            pass  # the next hold will classify the node's fate
 
     def _requeue(self, job: Job, node_url: str, reason: str) -> bool:
         """Fold a node loss into the core's retry budget.  True to

@@ -58,7 +58,6 @@ class LocalFleet:
                  heartbeat_misses: int = 3,
                  retry_budget: int = 2,
                  spill_threshold: int = 4,
-                 poll_interval: float = 0.05,
                  job_timeout: float = 600.0,
                  worker_drain_timeout: float = 10.0,
                  cell_delay_ms: float = 0.0,
@@ -71,7 +70,7 @@ class LocalFleet:
         self.ring_config = FleetConfig(
             heartbeat_interval=heartbeat_interval,
             heartbeat_misses=heartbeat_misses,
-            spill_threshold=spill_threshold, poll_interval=poll_interval)
+            spill_threshold=spill_threshold)
         self.retry_budget = retry_budget
         self.job_timeout = job_timeout
         self.worker_drain_timeout = worker_drain_timeout

@@ -15,6 +15,9 @@ scheduler's admission control expects from well-behaved callers:
 * Both retry loops share one attempt budget; exhausting it raises
   :class:`ServiceSaturated` (sheds) or :class:`ServiceUnavailable`
   (transport), keeping the failure cause diagnosable.
+* **Completion** is pushed, not polled: :meth:`ServiceClient.wait`
+  holds ``GET /v1/jobs/<id>?wait=`` open for up to half the socket
+  timeout, and the server answers the moment the job is terminal.
 
 Randomness comes from a per-instance ``random.Random`` seeded from
 ``(seed, client_id)`` - deterministic per identity (the repo-wide
@@ -159,9 +162,13 @@ class ServiceClient:
             f"submission shed {self.max_attempts} time(s); the service "
             f"is saturated")
 
-    def job(self, job_id: str) -> Dict:
-        status, _headers, data = self._resilient(
-            "GET", f"/v1/jobs/{job_id}")
+    def job(self, job_id: str, wait: Optional[float] = None) -> Dict:
+        """The job's record; with ``wait``, the server holds the reply
+        until the job is terminal or ``wait`` seconds pass."""
+        path = f"/v1/jobs/{job_id}"
+        if wait is not None:
+            path += f"?wait={wait:.3f}"
+        status, _headers, data = self._resilient("GET", path)
         if status == 200 and isinstance(data, dict):
             return data
         raise ServiceError(_error_text(status, data))
@@ -185,27 +192,28 @@ class ServiceClient:
             return data
         raise ServiceError(_error_text(status, data))
 
-    def wait(self, job_id: str, poll_interval: float = 0.05,
-             timeout: float = 600.0) -> Dict:
-        """Poll until the job is terminal; returns the final record."""
+    def wait(self, job_id: str, timeout: float = 600.0) -> Dict:
+        """Hold GETs until the job is terminal; returns the final
+        record.  Each hold lasts at most half the socket timeout, so
+        the reply always beats the socket."""
         deadline = time.monotonic() + timeout
         while True:
-            record = self.job(job_id)
+            remaining = max(0.0, deadline - time.monotonic())
+            record = self.job(job_id,
+                              wait=min(remaining, self.timeout / 2.0))
             if record.get("state") in ("done", "failed", "cancelled"):
                 return record
             if time.monotonic() >= deadline:
                 raise ServiceError(
                     f"job {job_id} still {record.get('state')!r} after "
                     f"{timeout:.0f}s")
-            self._sleep(poll_interval)
 
-    def submit_and_wait(self, request: Dict, poll_interval: float = 0.05,
+    def submit_and_wait(self, request: Dict,
                         timeout: float = 600.0) -> Dict:
         """Submit then wait; raises :class:`JobFailed` on a failed job."""
         record = self.submit(request)
         if record.get("state") not in ("done", "failed", "cancelled"):
-            record = self.wait(record["id"], poll_interval=poll_interval,
-                               timeout=timeout)
+            record = self.wait(record["id"], timeout=timeout)
         if record.get("state") == "failed":
             raise JobFailed(
                 f"job {record.get('id')} failed: {record.get('error')}")

@@ -83,12 +83,6 @@ FLEET_CONFIGS = ("RR 256", "WSRR 512", "WSRS RC S 512", "WSRS RM S 512")
 #: set by the fullest node.
 BENCH_SPILL_THRESHOLD = 1
 
-#: How often the bench coordinator polls a worker for job status.  The
-#: bench runs many concurrent polls on one host, and polling is pure
-#: CPU churn that competes with the simulator for cores; a coarser
-#: interval keeps the scaling curve about sharding, not HTTP overhead.
-BENCH_COORDINATOR_POLL = 0.1
-
 #: Warm matrix run through every fleet *before* the timed compute
 #: pass.  Each worker's pool child pays Python import cost lazily at
 #: its first cell; on a host with fewer cores than nodes those imports
@@ -149,8 +143,7 @@ def _job_requests(benchmarks: Sequence[str], configs: Sequence[str],
 
 
 def _drive_pass(url: str, requests: List[Dict], clients: int,
-                poll_interval: float, timeout: float, seed: int
-                ) -> Tuple[List[Dict], Dict]:
+                timeout: float, seed: int) -> Tuple[List[Dict], Dict]:
     """One pass: round-robin the requests over ``clients`` threads.
 
     Returns the terminal job records of the *completed* jobs in request
@@ -175,9 +168,8 @@ def _drive_pass(url: str, requests: List[Dict], clients: int,
         for index in range(client_index, len(requests), clients):
             begin = time.monotonic()
             try:
-                record = client.submit_and_wait(
-                    requests[index], poll_interval=poll_interval,
-                    timeout=timeout)
+                record = client.submit_and_wait(requests[index],
+                                                timeout=timeout)
             except Exception as exc:
                 failures.append(f"job {index}: {exc!r}")
                 continue
@@ -261,7 +253,7 @@ def run(url: Optional[str] = None, clients: int = 4,
         measure: int = 4_000, warmup: int = 2_000, seed: int = 1,
         passes: int = 2, out: Optional[str] = "BENCH_service.json",
         server_workers: int = 2, direct_workers: Optional[int] = None,
-        poll_interval: float = 0.05, job_timeout: float = 600.0,
+        job_timeout: float = 600.0,
         announce: Callable[[str], None] = print) -> Dict:
     """Run the load test; returns (and optionally writes) the record.
 
@@ -293,8 +285,7 @@ def run(url: Optional[str] = None, clients: int = 4,
         all_pass_cells: List[List[Dict]] = []
         for pass_index in range(passes):
             records, pass_record = _drive_pass(
-                url, requests, clients, poll_interval, job_timeout,
-                seed + pass_index)
+                url, requests, clients, job_timeout, seed + pass_index)
             all_pass_cells.append(_cells_of(records))
             pass_records.append(pass_record)
             p95 = pass_record["latency_ms"]["p95"]
@@ -350,8 +341,7 @@ def run_fleet(workers: int = 3, clients: int = 8,
               out: Optional[str] = "BENCH_fleet.json",
               server_workers: int = 1,
               direct_workers: Optional[int] = None,
-              poll_interval: float = 0.02, job_timeout: float = 600.0,
-              kill_test: bool = True,
+              job_timeout: float = 600.0, kill_test: bool = True,
               cell_delay_ms: float = DEFAULT_CELL_DELAY_MS,
               announce: Callable[[str], None] = print) -> Dict:
     """Run the fleet bench; returns (and optionally writes) the record.
@@ -391,7 +381,6 @@ def run_fleet(workers: int = 3, clients: int = 8,
         def local_fleet(count: int) -> LocalFleet:
             return LocalFleet(workers=count, server_workers=server_workers,
                               spill_threshold=BENCH_SPILL_THRESHOLD,
-                              poll_interval=BENCH_COORDINATOR_POLL,
                               job_timeout=job_timeout,
                               cell_delay_ms=cell_delay_ms,
                               announce=lambda _m: None)
@@ -404,10 +393,9 @@ def run_fleet(workers: int = 3, clients: int = 8,
                 # Untimed warm pass: spin up every node's pool child
                 # (imports serialize on small hosts) before the clock.
                 _drive_pass(fleet.url, warm_requests, clients,
-                            poll_interval, job_timeout, warm_seed)
+                            job_timeout, warm_seed)
                 records, compute = _drive_pass(
-                    fleet.url, requests, clients, poll_interval,
-                    job_timeout, seed)
+                    fleet.url, requests, clients, job_timeout, seed)
                 compute_identical = _cells_of(records) == direct
 
                 # Routing-affinity pass: a fresh coordinator cannot
@@ -415,8 +403,7 @@ def run_fleet(workers: int = 3, clients: int = 8,
                 # the node holding each cached result.
                 fleet.restart_coordinator(fresh_store=True)
                 records, routed = _drive_pass(
-                    fleet.url, requests, clients, poll_interval,
-                    job_timeout, seed + 1)
+                    fleet.url, requests, clients, job_timeout, seed + 1)
                 routed_identical = _cells_of(records) == direct
                 metrics_text = ServiceClient(
                     fleet.url, client_id="fleet-bench").metrics()
@@ -450,8 +437,8 @@ def run_fleet(workers: int = 3, clients: int = 8,
             announce(f"fleet bench: kill test ({workers} workers, "
                      f"SIGTERM one mid-run)...")
             with local_fleet(workers) as fleet:
-                kill = _kill_pass(fleet, requests, direct, poll_interval,
-                                  job_timeout, seed)
+                kill = _kill_pass(fleet, requests, direct, job_timeout,
+                                  seed)
             identical = identical and kill["identical"]
             announce(f"fleet bench: kill test - "
                      f"{kill['completed']}/{kill['jobs']} completed, "
@@ -486,15 +473,13 @@ def run_fleet(workers: int = 3, clients: int = 8,
 
 
 def _kill_pass(fleet, requests: List[Dict], direct: List[Dict],
-               poll_interval: float, job_timeout: float,
-               seed: int) -> Dict:
+               job_timeout: float, seed: int) -> Dict:
     """Submit the matrix, SIGTERM one worker, require full completion."""
     client = ServiceClient(fleet.url, client_id="fleet-kill", seed=seed)
     begin = time.monotonic()
     submitted = [client.submit(request) for request in requests]
     victim = fleet.kill_worker(0)
-    finals = [client.wait(record["id"], poll_interval=poll_interval,
-                          timeout=job_timeout)
+    finals = [client.wait(record["id"], timeout=job_timeout)
               for record in submitted]
     wall = time.monotonic() - begin
     registry = fleet.coordinator.registry

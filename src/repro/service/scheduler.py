@@ -29,12 +29,18 @@ runs:
   retry budget.  Per-job timeouts fail the job (an already-running
   cell cannot be interrupted mid-simulation; its slot frees when the
   cell finishes, which the timeout bounds indirectly).
+* **Completion** - :meth:`Scheduler._finish` makes every terminal
+  transition exactly once, for both backends, and wakes whoever
+  awaits :meth:`Scheduler.wait` on that job: the HTTP front's held
+  ``GET /v1/jobs/<id>?wait=`` and the drain.  With a result store the
+  finished record then retires to ``records/<id>.json`` and leaves the
+  in-memory job table, which so holds only live jobs.
 * **Graceful drain** - :meth:`Scheduler.shutdown` stops admission,
-  lets running jobs finish within ``drain_timeout``, cancels the
-  backlog, then stops the backend; the pool backend tears its pool
-  down with the same :func:`~repro.experiments.runner.shutdown_pool`
-  helper the CLI's Ctrl-C path uses, so no worker process is ever
-  orphaned.
+  waits up to ``drain_timeout`` for the running jobs to finish,
+  cancels the backlog, then stops the backend; the pool backend tears
+  its pool down with the same
+  :func:`~repro.experiments.runner.shutdown_pool` helper the CLI's
+  Ctrl-C path uses, so no worker process is ever orphaned.
 
 All counters and histograms live in a PR-4
 :class:`~repro.obs.registry.ObsRegistry`; :func:`prometheus_text`
@@ -139,6 +145,10 @@ class Backend:
     def dispatch(self, job: Job) -> None:
         raise NotImplementedError
 
+    def cancel(self, job: Job) -> None:
+        """A running job was flagged to stop; the pool backend reads
+        the flag between cells, so only a forwarding backend acts."""
+
     async def stop(self) -> None:
         """Reap every task and resource (drain already ran)."""
 
@@ -160,7 +170,10 @@ class Scheduler:
             raise ValueError("SchedulerConfig.workers must be >= 1")
         self.store = store
         self.registry = registry or ObsRegistry()
+        #: Live jobs, plus finished ones when there is no store to
+        #: retire them to.
         self.jobs: Dict[str, Job] = {}
+        self._completions: Dict[str, asyncio.Event] = {}
         self._by_key: Dict[str, Job] = {}
         self._client_active: Dict[str, int] = {}
         self._queued = 0
@@ -184,9 +197,12 @@ class Scheduler:
         self._accepting = False
         self._draining = True
         if drain:
-            deadline = time.monotonic() + self.config.drain_timeout
-            while self._running and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
+            # Nothing starts once draining is set, so waiting on the
+            # jobs running now covers every job the drain owes a finish.
+            await asyncio.gather(*(
+                self.wait(job, self.config.drain_timeout)
+                for job in list(self.jobs.values())
+                if job.state == jobmodel.RUNNING))
         for job in list(self.jobs.values()):
             if job.state == jobmodel.QUEUED:
                 self._finish(job, jobmodel.CANCELLED,
@@ -303,13 +319,44 @@ class Scheduler:
     # -- queries ---------------------------------------------------------
 
     def get(self, job_id: str) -> Optional[Job]:
+        """A live job, or a finished one not (yet) retired."""
         return self.jobs.get(job_id)
 
+    def retired(self, job_id: str) -> Optional[Dict]:
+        """The record of a job retired to the store, or None.  A done
+        record reads its result back from the store under its key, and
+        answers without one once that result expired.  Disk I/O: call
+        it off the event loop."""
+        if self.store is None:
+            return None
+        try:
+            record = self.store.get_record(job_id)
+        except ValueError:
+            return None  # not a job id, so never a retired job
+        if record is not None and record["state"] == jobmodel.DONE:
+            result = self.store.peek(record["key"])
+            if result is not None:
+                record["result"] = result
+        return record
+
+    async def wait(self, job: Job, timeout: float) -> None:
+        """Return once ``job`` is terminal or ``timeout`` seconds
+        passed, whichever comes first."""
+        if job.terminal or timeout <= 0:
+            return
+        completion = self._completions.get(job.id)
+        if completion is None:
+            completion = self._completions[job.id] = asyncio.Event()
+        try:
+            await asyncio.wait_for(completion.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass
+
     def cancel(self, job_id: str) -> Optional[bool]:
-        """Cancel a job.  True if the cancel took hold (queued job
+        """Cancel a live job.  True if the cancel took hold (queued job
         removed, or running job flagged to stop at the next cell
         boundary or forwarded to its node), False if already terminal,
-        None if unknown."""
+        None if not in the job table (unknown or retired)."""
         job = self.jobs.get(job_id)
         if job is None:
             return None
@@ -319,6 +366,7 @@ class Scheduler:
             return True
         if job.state == jobmodel.RUNNING:
             job.cancel_requested = True
+            self.backend.cancel(job)
             return True
         return False
 
@@ -339,11 +387,14 @@ class Scheduler:
         return self._draining
 
     def counts(self) -> Dict[str, int]:
-        states: Dict[str, int] = {state: 0 for state in (
-            jobmodel.QUEUED, jobmodel.RUNNING, jobmodel.DONE,
-            jobmodel.FAILED, jobmodel.CANCELLED)}
-        for job in self.jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
+        """Jobs per state; finished ones from the terminal counters, so
+        retired jobs still count."""
+        counters = self.registry.counters
+        states = {jobmodel.QUEUED: self._queued,
+                  jobmodel.RUNNING: self._running}
+        for state in (jobmodel.DONE, jobmodel.FAILED, jobmodel.CANCELLED):
+            states[state] = counters.get(
+                f"{self.backend.prefix}jobs_{state}_total", 0)
         return states
 
     # -- job state transitions (called by backends) ----------------------
@@ -375,7 +426,7 @@ class Scheduler:
                 account_client: bool = True) -> None:
         """Move a job to a terminal state exactly once, releasing its
         queue slot (``queued=True``), run slot, quota share and dedup
-        key."""
+        key, waking its waiters and retiring it to the store."""
         if job.terminal:
             return
         was_running = job.state == jobmodel.RUNNING
@@ -398,6 +449,31 @@ class Scheduler:
             else:
                 self._client_active[job.client] = active - 1
         self.registry.count(f"{self.backend.prefix}jobs_{state}_total")
+        completion = self._completions.pop(job.id, None)
+        if completion is not None:
+            completion.set()
+        if self.store is not None:
+            self._retire(job)
+
+    def _retire(self, job: Job) -> None:
+        """Write the finished record, less its result (the store holds
+        that under the job's key already), to the store on a worker
+        thread, then drop the table entry; until the write lands the job
+        is still answered from memory."""
+        try:
+            loop = asyncio.get_running_loop()
+        except RuntimeError:
+            return  # driven without an event loop: keep it in memory
+        landed = loop.run_in_executor(None, self.store.put_record,
+                                      job.id,
+                                      job.as_dict(include_result=False))
+
+        def drop(future: "asyncio.Future") -> None:
+            # A failed write keeps the job where GET still finds it.
+            if not future.cancelled() and future.exception() is None:
+                self.jobs.pop(job.id, None)
+
+        landed.add_done_callback(drop)
 
 
 class PoolBackend(Backend):

@@ -12,6 +12,10 @@ close``), JSON in and out.  The API surface:
                                503 while draining
 ``GET /v1/jobs/<id>``          job status; includes the result payload
                                once the job is ``done``
+``GET /v1/jobs/<id>?wait=S``   the same reply, held until the job is
+                               terminal or ``S`` seconds pass (capped
+                               at :data:`MAX_WAIT_S`); 400 on a bad
+                               ``S``, 404 at once on an unknown id
 ``DELETE /v1/jobs/<id>``       cancel: queued jobs are removed, running
                                jobs stop at the next cell boundary
 ``GET /healthz``               liveness + state counts
@@ -36,6 +40,17 @@ The client id used for quota accounting comes from the ``X-Client``
 header (falling back to a ``client`` field in the body, then
 ``anonymous``).
 
+A held ``GET`` is how callers learn a job finished (``wsrs submit``
+waits for its job this way, through
+:meth:`repro.service.client.ServiceClient.wait`): the scheduler's
+:meth:`~repro.service.scheduler.Scheduler.wait` wakes it on the job's
+terminal transition, and the reply comes from the job object the hold
+already has.  A scheduler with a result store retires finished
+records to ``<store>/records/<id>.json``; ``GET`` and ``DELETE`` of a
+retired id answer from there exactly as for a finished job.
+:meth:`ServiceServer.stop` releases every held reply before it waits
+for connections to close, so a hold never stalls a drain.
+
 :func:`serve` is the blocking ``wsrs serve`` entry point: it installs
 SIGINT/SIGTERM handlers that stop the listener and *drain* the
 scheduler - running jobs finish, the backlog is cancelled, the worker
@@ -50,9 +65,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
+from urllib.parse import parse_qs
 
 from repro.service.jobs import Job
 from repro.service.scheduler import (
@@ -67,6 +84,10 @@ from repro.service.store import DEFAULT_TTL_SECONDS, ResultStore
 #: Largest accepted request body (a job request is tiny; anything bigger
 #: is abuse).
 MAX_BODY_BYTES = 64 * 1024
+
+#: Longest hold of one ``GET /v1/jobs/<id>?wait=`` (seconds): below the
+#: client's default 30 s socket timeout.
+MAX_WAIT_S = 20.0
 
 _STATUS_REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -125,6 +146,9 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set["asyncio.Task"] = set()
+        self._holds: Set["asyncio.Task"] = set()
+        self._stopping = False
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -136,8 +160,15 @@ class ServiceServer:
         return f"http://{self.host}:{self.port}"
 
     async def stop(self) -> None:
+        """Close the listener, answer every held GET with the record as
+        it stands, then wait for the connections to close."""
         if self._server is not None:
+            self._stopping = True
             self._server.close()
+            for hold in self._holds:
+                hold.cancel()
+            if self._connections:
+                await asyncio.wait(self._connections)
             await self._server.wait_closed()
             self._server = None
 
@@ -145,6 +176,15 @@ class ServiceServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        connection = asyncio.current_task()
+        self._connections.add(connection)
+        try:
+            await self._reply(reader, writer)
+        finally:
+            self._connections.discard(connection)
+
+    async def _reply(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
         try:
             status, payload, extra = await self._respond(reader)
         except Exception as exc:  # defensive: a handler bug must not
@@ -169,13 +209,14 @@ class ServiceServer:
             method, target, headers, body = await _read_request(reader)
         except _BadRequest as bad:
             return bad.status, {"error": bad.message}, {}
-        return self.route(method, target, headers, body)
+        return await self.route(method, target, headers, body)
 
     # -- routing ---------------------------------------------------------
 
-    def route(self, method: str, target: str, headers: Dict[str, str],
-              body: bytes) -> Tuple[int, object, Dict[str, str]]:
-        path = target.split("?", 1)[0]
+    async def route(self, method: str, target: str,
+                    headers: Dict[str, str], body: bytes
+                    ) -> Tuple[int, object, Dict[str, str]]:
+        path, _, query = target.partition("?")
         fleet = self.scheduler.backend.fleet
         if path == "/healthz":
             if method != "GET":
@@ -201,9 +242,9 @@ class ServiceServer:
         if path.startswith("/v1/jobs/"):
             job_id = path[len("/v1/jobs/"):]
             if method == "GET":
-                return self._status(job_id)
+                return await self._status(job_id, query)
             if method == "DELETE":
-                return self._cancel(job_id)
+                return await self._cancel(job_id)
             return 405, {"error": "job resources accept GET/DELETE"}, {}
         return 404, {"error": f"no route for {path!r}"}, {}
 
@@ -264,22 +305,70 @@ class ServiceServer:
         return admission.status, record, {
             "Location": f"/v1/jobs/{job.id}"}
 
-    def _status(self, job_id: str) -> Tuple[int, object, Dict[str, str]]:
+    async def _status(self, job_id: str, query: str
+                      ) -> Tuple[int, object, Dict[str, str]]:
+        try:
+            wait = _wait_seconds(query)
+        except ValueError as exc:
+            return 400, {"error": str(exc)}, {}
         job: Optional[Job] = self.scheduler.get(job_id)
         if job is None:
-            return 404, {"error": f"no job {job_id!r}"}, {}
-        record = job.as_dict()
+            record = await self._retired(job_id)
+            if record is None:
+                return 404, {"error": f"no job {job_id!r}"}, {}
+        else:
+            if wait and not job.terminal and not self._stopping:
+                await self._hold(job, wait)
+            record = job.as_dict()
         if self.scheduler.backend.fleet:
             record["node"] = self.scheduler.backend.node_of(job_id)
         return 200, record, {}
 
-    def _cancel(self, job_id: str) -> Tuple[int, object, Dict[str, str]]:
+    async def _hold(self, job: Job, seconds: float) -> None:
+        """Wait for ``job`` to finish, for ``seconds`` at most, or until
+        :meth:`stop` releases the hold."""
+        hold = asyncio.get_running_loop().create_task(
+            self.scheduler.wait(job, seconds))
+        self._holds.add(hold)
+        try:
+            await asyncio.wait((hold,))
+        finally:
+            self._holds.discard(hold)
+            hold.cancel()
+
+    async def _retired(self, job_id: str) -> Optional[Dict]:
+        return await asyncio.get_running_loop().run_in_executor(
+            None, self.scheduler.retired, job_id)
+
+    async def _cancel(self, job_id: str
+                      ) -> Tuple[int, object, Dict[str, str]]:
         outcome = self.scheduler.cancel(job_id)
         if outcome is None:
-            return 404, {"error": f"no job {job_id!r}"}, {}
+            record = await self._retired(job_id)
+            if record is None:
+                return 404, {"error": f"no job {job_id!r}"}, {}
+            return 200, {"id": job_id, "cancelled": False,
+                         "state": record["state"]}, {}
         job = self.scheduler.get(job_id)
         return 200, {"id": job_id, "cancelled": outcome,
                      "state": job.state if job else None}, {}
+
+
+def _wait_seconds(query: str) -> float:
+    """The hold a ``?wait=S`` query asks for, clamped to
+    :data:`MAX_WAIT_S`; 0 without one.  ValueError when malformed."""
+    values = parse_qs(query, keep_blank_values=True).get("wait")
+    if not values:
+        return 0.0
+    try:
+        seconds = float(values[-1])
+    except ValueError:
+        raise ValueError(f"wait must be a number of seconds, got "
+                         f"{values[-1]!r}") from None
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ValueError(f"wait must be a non-negative number of "
+                         f"seconds, got {values[-1]!r}")
+    return min(seconds, MAX_WAIT_S)
 
 
 def _render_response(status: int, payload: object,

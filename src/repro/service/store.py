@@ -8,6 +8,13 @@ directory - never expose a torn file.  Re-publishing a key is harmless:
 results are pure functions of their key, so the last writer rewrites
 identical content.
 
+A scheduler with a store also retires each finished job's record,
+less its result, to ``records/<job id>.json`` (:meth:`put_record` /
+:meth:`get_record`), so its in-memory job table holds only live jobs; a
+done record reads its result back from ``<key>.json`` with
+:meth:`peek`.  Records share the envelope, the TTL and the eviction
+protocol of results.
+
 Entries expire ``ttl_seconds`` after they were stored.  Expiry is
 enforced lazily on :meth:`get` (an expired file is deleted and reported
 as a miss) and in bulk by :meth:`evict_expired`, which the scheduler
@@ -42,9 +49,13 @@ DEFAULT_TTL_SECONDS = 24 * 3600.0
 
 _KEY_CHARS = frozenset("0123456789abcdef")
 
+#: Subdirectory of retired job records, created on the first write.
+RECORDS_DIR = "records"
+
 
 class ResultStore:
-    """Directory of ``<key>.json`` result records with a TTL."""
+    """Directory of ``<key>.json`` result records with a TTL, plus
+    ``records/<job id>.json`` finished job records under the same TTL."""
 
     def __init__(self, directory: str,
                  ttl_seconds: Optional[float] = DEFAULT_TTL_SECONDS,
@@ -58,6 +69,7 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.records_directory = os.path.join(directory, RECORDS_DIR)
         os.makedirs(directory, exist_ok=True)
 
     # -- paths -----------------------------------------------------------
@@ -67,10 +79,15 @@ class ResultStore:
             raise ValueError(f"malformed result key {key!r}")
         return os.path.join(self.directory, f"{key}.json")
 
+    def _record_path(self, job_id: str) -> str:
+        # Job ids are ``j`` + 12 hex digits (jobs.new_job_id).
+        if (len(job_id) != 13 or job_id[0] != "j"
+                or not set(job_id[1:]) <= _KEY_CHARS):
+            raise ValueError(f"malformed job id {job_id!r}")
+        return os.path.join(self.records_directory, f"{job_id}.json")
+
     def keys(self) -> List[str]:
-        return sorted(name[:-len(".json")]
-                      for name in os.listdir(self.directory)
-                      if name.endswith(".json"))
+        return _names(self.directory)
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -105,16 +122,42 @@ class ResultStore:
         self.hits += 1
         return record["payload"]
 
+    def peek(self, key: str) -> Optional[Dict]:
+        """The stored payload, or None, without counting a hit or miss
+        or evicting: how a retired job record reads its result back."""
+        record = self._read(self._path(key))
+        if record is None or self._expired(record):
+            return None
+        return record["payload"]
+
+    def put_record(self, job_id: str, record: Dict) -> None:
+        """Retire a finished job's record (atomic, last writer wins)."""
+        atomic_write_json(self._record_path(job_id),
+                          {"key": job_id, "stored_at": self.clock(),
+                           "payload": record})
+
+    def get_record(self, job_id: str) -> Optional[Dict]:
+        """A retired job record, or None when unknown, expired or
+        corrupt (the bulk sweep deletes the file)."""
+        record = self._read(self._record_path(job_id))
+        if record is None or self._expired(record):
+            return None
+        return record["payload"]
+
     def evict_expired(self) -> int:
-        """Delete every expired or corrupt record (and sweep orphaned
-        tombstones); returns how many records were evicted."""
-        evicted = self._sweep_tombstones()
-        for key in self.keys():
-            path = self._path(key)
-            record = self._read(path)
-            if record is None or self._expired(record):
-                if self._evict(path):
-                    evicted += 1
+        """Delete every expired or corrupt result and job record (and
+        sweep orphaned tombstones); returns how many were evicted."""
+        evicted = 0
+        for directory, path_of in ((self.directory, self._path),
+                                   (self.records_directory,
+                                    self._record_path)):
+            evicted += self._sweep_tombstones(directory, path_of)
+            for key in _names(directory):
+                path = path_of(key)
+                record = self._read(path)
+                if record is None or self._expired(record):
+                    if self._evict(path):
+                        evicted += 1
         return evicted
 
     def stats(self) -> Dict[str, float]:
@@ -134,7 +177,7 @@ class ResultStore:
         back.  Returns True when a record was evicted.
         """
         handle, tomb = tempfile.mkstemp(
-            dir=self.directory,
+            dir=os.path.dirname(path),
             prefix=os.path.basename(path) + ".", suffix=".tomb")
         os.close(handle)
         try:
@@ -153,21 +196,23 @@ class ResultStore:
         self.evictions += 1
         return True
 
-    def _sweep_tombstones(self) -> int:
-        """Resolve tombstones orphaned by a crash mid-eviction: restore
-        the fresh ones, delete the expired/corrupt ones.  Returns how
-        many were deleted (counted as evictions)."""
+    def _sweep_tombstones(self, directory: str,
+                          path_of: Callable[[str], str]) -> int:
+        """Resolve tombstones in ``directory`` orphaned by a crash
+        mid-eviction: restore the fresh ones (to ``path_of(key)``),
+        delete the expired/corrupt ones.  Returns how many were deleted
+        (counted as evictions)."""
         deleted = 0
-        for name in sorted(os.listdir(self.directory)):
+        for name in _listdir(directory):
             if not name.endswith(".tomb"):
                 continue
-            tomb = os.path.join(self.directory, name)
+            tomb = os.path.join(directory, name)
             record = self._read(tomb)
             key = record.get("key") if record is not None else None
             if record is not None and not self._expired(record) \
                     and isinstance(key, str):
                 try:
-                    os.replace(tomb, self._path(key))
+                    os.replace(tomb, path_of(key))
                 except (OSError, ValueError):
                     self._remove(tomb)
                 continue
@@ -201,3 +246,17 @@ class ResultStore:
             os.remove(path)
         except OSError:
             pass  # raced with another evictor: already gone
+
+
+def _listdir(directory: str) -> List[str]:
+    """Sorted entries of ``directory``; none before its first write."""
+    try:
+        return sorted(os.listdir(directory))
+    except FileNotFoundError:
+        return []
+
+
+def _names(directory: str) -> List[str]:
+    """The keys of the ``<key>.json`` records in ``directory``."""
+    return [name[:-len(".json")] for name in _listdir(directory)
+            if name.endswith(".json")]

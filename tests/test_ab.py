@@ -1,7 +1,9 @@
 """Tests for the same-host A/B gate (``wsrs ab``)."""
 
 import json
+import os
 import subprocess
+import time
 
 import pytest
 
@@ -88,7 +90,7 @@ class TestCompare:
 
 
 STUB = '''\
-import argparse, json, os, sys
+import argparse, json, os, subprocess, sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 parser = argparse.ArgumentParser()
@@ -106,6 +108,13 @@ with open({log!r}, "a") as handle:
                  + "\\n")
 if knobs.get("crash"):
     sys.exit(3)
+if knobs.get("orphan"):
+    # A child that outlives this process and keeps its stdout open.
+    sleeper = subprocess.Popen([sys.executable, "-c",
+                                "import time; time.sleep(60)"])
+    with open(knobs["orphan"], "w") as handle:
+        handle.write(str(sleeper.pid))
+    sys.exit(0)
 metrics = {{"sim_kips": {{"value": knobs["kips"] + args.seed % 7}},
            "job_p90_ms": {{"value": 200.0 + args.seed % 5}}}}
 print("a human-readable line first")
@@ -122,6 +131,15 @@ BENCHMARK = {
         {"name": "job_p90_ms", "better": "lower", "bound": 0.25},
     ],
 }
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def git(repo, *args):
@@ -209,6 +227,29 @@ class TestEndToEnd:
         assert "exited with code 3" in capsys.readouterr().err
         assert len(runs()) <= 2
         assert len(worktrees()) == 1
+
+    def test_orphan_holding_stdout_is_killed_at_the_bound(
+            self, stub_repo, tmp_path, monkeypatch, capsys):
+        _, runs, set_knobs, worktrees = stub_repo
+        pid_file = tmp_path / "sleeper.pid"
+        set_knobs(orphan=str(pid_file))
+        monkeypatch.setattr(ab, "RUN_BOUND_S", 1.0)
+        began = time.monotonic()
+        assert main(["ab", "HEAD"]) == 1
+        assert time.monotonic() - began < 30.0
+        err = capsys.readouterr().err
+        # The base tree's knobs are the committed ones: only the working
+        # tree's run leaves a sleeper behind.
+        assert "explore seed 1001 (change)" in err
+        assert "did not finish within 1 s" in err
+        assert len(runs()) == 2
+        assert len(worktrees()) == 1
+        sleeper = int(pid_file.read_text())
+        for _ in range(100):
+            if not _alive(sleeper):
+                break
+            time.sleep(0.05)
+        assert not _alive(sleeper)
 
     def test_unknown_base_is_an_error(self, stub_repo, capsys):
         _, _, _, worktrees = stub_repo

@@ -36,8 +36,7 @@ WORKERS = ("http://n0:1", "http://n1:2")
 
 
 def _coordinator(workers=WORKERS, store=None, retry_budget=2, **knobs):
-    config = FleetConfig(heartbeat_interval=0.01, poll_interval=0.001,
-                         **knobs)
+    config = FleetConfig(heartbeat_interval=0.01, **knobs)
     return Scheduler(SchedulerConfig(retry_budget=retry_budget),
                      store=store,
                      backend=FleetCoordinator(config, workers=workers))
@@ -259,3 +258,151 @@ class TestMetrics:
         for line in text.splitlines():
             assert line.startswith("# TYPE ") or sample.match(line), \
                 f"malformed metrics line: {line!r}"
+
+
+class FakeWorker:
+    """A worker's job API in place of ``request_json``: the forwarded
+    job runs until ``finish`` or a DELETE, and GETs hold like the real
+    server's ``?wait=``."""
+
+    def __init__(self, drop_hold_on=()):
+        self.state = jobmodel.RUNNING
+        self.changed = asyncio.Event()
+        self.calls = []
+        self.drop_hold_on = drop_hold_on
+
+    def finish(self, state):
+        self.state = state
+        self.changed.set()
+
+    async def __call__(self, base_url, method, path, payload=None,
+                       headers=None, timeout=30.0):
+        self.calls.append((base_url, method, path, time.monotonic()))
+        if method == "POST":
+            return 202, {}, {"id": "r1", "state": jobmodel.RUNNING}
+        if method == "DELETE":
+            self.finish(jobmodel.CANCELLED)
+            return 200, {}, {"id": "r1", "cancelled": True}
+        if self.state == jobmodel.RUNNING:
+            if base_url in self.drop_hold_on:
+                await asyncio.sleep(0.05)
+                raise TransportError("peer hung up mid-response")
+            wait = float(path.partition("?wait=")[2])
+            try:
+                await asyncio.wait_for(self.changed.wait(), wait)
+            except asyncio.TimeoutError:
+                pass
+        record = {"id": "r1", "state": self.state}
+        if self.state == jobmodel.DONE:
+            record["result"] = {"cells": ["remote"]}
+        return 200, {}, record
+
+    def holds(self):
+        return [float(path.partition("?wait=")[2])
+                for _url, method, path, _at in self.calls
+                if method == "GET"]
+
+
+def _drive(coordinator, scenario):
+    async def main():
+        admission = coordinator.submit(PAYLOAD, client="tester")
+        assert admission.status == 202
+        await scenario(admission.job)
+        await asyncio.gather(*coordinator.backend._tasks)
+        return admission.job
+
+    return asyncio.run(main())
+
+
+class TestHeldForwarding:
+    def test_cancel_reaches_the_worker_within_100ms_of_a_hold(
+            self, monkeypatch):
+        coordinator = _coordinator(forward_timeout=10.0)
+        worker = FakeWorker()
+        monkeypatch.setattr(coordinator_module, "request_json", worker)
+        asked = []
+
+        async def scenario(job):
+            await asyncio.sleep(0.3)   # the hold is open by now
+            assert [call[1] for call in worker.calls] == ["POST", "GET"]
+            asked.append(time.monotonic())
+            assert coordinator.cancel(job.id) is True
+
+        job = _drive(coordinator, scenario)
+        (delete_at,) = [at for _url, method, _path, at in worker.calls
+                        if method == "DELETE"]
+        assert delete_at - asked[0] < 0.1
+        assert job.state == jobmodel.CANCELLED
+        # Holds never outlast half the per-request timeout.
+        assert max(worker.holds()) <= 5.0
+
+    def test_a_finished_worker_job_answers_the_hold(self, monkeypatch):
+        coordinator = _coordinator()
+        worker = FakeWorker()
+        monkeypatch.setattr(coordinator_module, "request_json", worker)
+
+        async def scenario(_job):
+            await asyncio.sleep(0.2)
+            worker.finish(jobmodel.DONE)
+
+        job = _drive(coordinator, scenario)
+        assert job.state == jobmodel.DONE
+        assert job.result == {"cells": ["remote"]}
+        assert len(worker.holds()) == 1
+
+    def test_deadline_still_fails_the_job(self, monkeypatch):
+        coordinator = Scheduler(
+            SchedulerConfig(job_timeout=0.4),
+            backend=FleetCoordinator(FleetConfig(), workers=WORKERS))
+        worker = FakeWorker()
+        monkeypatch.setattr(coordinator_module, "request_json", worker)
+        began = time.monotonic()
+
+        async def scenario(_job):
+            pass
+
+        job = _drive(coordinator, scenario)
+        assert 0.4 <= time.monotonic() - began < 2.0
+        assert job.state == jobmodel.FAILED
+        assert "timeout after" in job.error
+        assert all(hold <= 0.4 for hold in worker.holds())
+        assert worker.calls[-1][1] == "DELETE"  # the node is told too
+
+    def test_dropped_hold_is_node_loss_and_requeues(self, monkeypatch):
+        coordinator = _coordinator()
+        backend = coordinator.backend
+        first = backend.route(
+            jobmodel.job_key(jobmodel.parse_request(PAYLOAD)))
+        worker = FakeWorker(drop_hold_on=(first,))
+        monkeypatch.setattr(coordinator_module, "request_json", worker)
+
+        async def scenario(_job):
+            await asyncio.sleep(0.3)
+            worker.finish(jobmodel.DONE)
+
+        job = _drive(coordinator, scenario)
+        assert job.state == jobmodel.DONE
+        assert job.attempts == 2
+        assert any("requeued" in note for note in job.notes)
+        assert {call[0] for call in worker.calls} == set(WORKERS)
+        counters = coordinator.registry.counters
+        assert counters["fleet_node_losses_total"] == 1
+        assert counters["fleet_requeues_total"] == 1
+
+    def test_dropped_hold_raises_node_lost(self, monkeypatch):
+        coordinator = _coordinator()
+        backend = coordinator.backend
+        node = backend.nodes[WORKERS[0]]
+        monkeypatch.setattr(coordinator_module, "request_json",
+                            FakeWorker(drop_hold_on=(node.url,)))
+        job = coordinator._attach(
+            jobmodel.parse_request(PAYLOAD), "deadbeef", "tester")
+        coordinator._queued += 1
+
+        async def drive():
+            with pytest.raises(NodeLost, match="mid-hold"):
+                await backend._forward_and_wait(
+                    job, node, time.monotonic() + 5.0)
+
+        asyncio.run(drive())
+        assert node.outstanding == 0

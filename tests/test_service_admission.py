@@ -203,19 +203,19 @@ class TestFleetRoutes:
         ("GET", "/v1/fleet"), ("POST", "/v1/fleet/register")])
     def test_plain_service_has_no_fleet_routes(self, method, path):
         server = ServiceServer(Scheduler(SchedulerConfig(workers=1)))
-        status, _record, _headers = server.route(
-            method, path, {}, b'{"url": "http://127.0.0.1:9"}')
+        status, _record, _headers = asyncio.run(server.route(
+            method, path, {}, b'{"url": "http://127.0.0.1:9"}'))
         assert status == 404
 
     def test_ring_front_serves_fleet_routes(self):
         server = ServiceServer(_ring(None))
-        status, record, _headers = server.route(
+        status, record, _headers = asyncio.run(server.route(
             "POST", "/v1/fleet/register", {},
-            b'{"url": "http://127.0.0.1:10"}')
+            b'{"url": "http://127.0.0.1:10"}'))
         assert status == 200
         assert record["registered"] == "http://127.0.0.1:10"
-        status, record, _headers = server.route("GET", "/v1/fleet", {},
-                                                b"")
+        status, record, _headers = asyncio.run(
+            server.route("GET", "/v1/fleet", {}, b""))
         assert status == 200 and record["alive"] == 2
 
 
