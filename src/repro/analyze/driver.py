@@ -43,8 +43,7 @@ def run_analysis(passes: Optional[Sequence[str]] = None,
                  use_baseline: bool = True,
                  update_baseline: bool = False,
                  sample_configs: int = 50,
-                 list_passes: bool = False,
-                 prog: str = "analyze") -> int:
+                 list_passes: bool = False) -> int:
     """Run the analyzer and print/return per the CLI contract."""
     load_passes()
     if list_passes:
@@ -59,7 +58,7 @@ def run_analysis(passes: Optional[Sequence[str]] = None,
         selected = [get_pass(name) for name in passes] if passes \
             else all_passes()
     except ValueError as exc:
-        print(f"{prog}: {exc}", file=sys.stderr)
+        print(f"analyze: {exc}", file=sys.stderr)
         return 2
     context = AnalysisContext(
         root=root_path,
@@ -71,32 +70,32 @@ def run_analysis(passes: Optional[Sequence[str]] = None,
         else root_path / DEFAULT_BASELINE_NAME
     if update_baseline:
         count = write_baseline(baseline_path, findings)
-        print(f"{prog}: wrote {count} finding(s) to {baseline_path}")
+        print(f"analyze: wrote {count} finding(s) to {baseline_path}")
         return 0
     known = {}
     if use_baseline:
         try:
             known = load_baseline(baseline_path)
         except ValueError as exc:
-            print(f"{prog}: {exc}", file=sys.stderr)
+            print(f"analyze: {exc}", file=sys.stderr)
             return 2
     novel, baselined = partition(findings, known)
     gating = [finding for finding in novel if finding.gates]
 
-    rendering = _render(fmt, prog, novel, baselined, selected)
+    rendering = _render(fmt, novel, baselined, selected)
     if out:
         Path(out).write_text(rendering + "\n", encoding="utf-8")
-        print(f"{prog}: wrote {fmt} report to {out}")
+        print(f"analyze: wrote {fmt} report to {out}")
         if gating:
-            print(f"{prog}: {len(gating)} gating finding(s)")
+            print(f"analyze: {len(gating)} gating finding(s)")
         else:
-            print(f"{prog}: clean")
+            print(f"analyze: clean")
     else:
         print(rendering)
     return 1 if gating else 0
 
 
-def _render(fmt: str, prog: str, novel: List[Finding],
+def _render(fmt: str, novel: List[Finding],
             baselined: List[Finding], selected) -> str:
     if fmt == "sarif":
         return json.dumps(to_sarif(novel, selected, baselined), indent=2)
@@ -112,10 +111,10 @@ def _render(fmt: str, prog: str, novel: List[Finding],
     for finding in novel:
         lines.append(str(finding))
     if baselined:
-        lines.append(f"{prog}: {len(baselined)} baselined finding(s) "
+        lines.append(f"analyze: {len(baselined)} baselined finding(s) "
                      f"suppressed")
     if novel:
         lines.append(f"{len(novel)} finding(s)")
     else:
-        lines.append(f"{prog}: clean")
+        lines.append(f"analyze: clean")
     return "\n".join(lines)

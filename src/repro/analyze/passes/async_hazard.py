@@ -1,8 +1,8 @@
 """ASYNC-HAZARD: concurrency lint for the service and fleet stacks.
 
-The service (:mod:`repro.service`) and the fleet coordinator
-(:mod:`repro.fleet`) run asyncio event loops whose tasks hand
-simulation work to a process/thread executor, talk HTTP to worker
+The service (:mod:`repro.service`) and the fleet (:mod:`repro.fleet`)
+run asyncio event loops whose tasks hand simulation work to a
+process/thread executor, talk HTTP between coordinator and worker
 nodes, and mirror results into a disk-backed store.  Three hazard
 classes recur in that shape, and each one has bitten real asyncio
 services:
@@ -13,14 +13,14 @@ services:
     / ``json.load`` against a file, ``os``/``shutil`` filesystem calls),
     ``subprocess`` invocations, synchronous HTTP
     (``http.client.HTTPConnection``/``HTTPSConnection``,
-    ``urllib.request.urlopen`` - the coordinator's heartbeat and
-    forwarding paths must use the async :mod:`repro.fleet.netio`
-    client), or a call into the disk-backed result store
+    ``urllib.request.urlopen`` - a fleet worker's lease and report
+    paths must use the async :mod:`repro.fleet.netio` client), or a
+    call into the disk-backed result store
     (``store.put``/``get``/``keys``/``evict_expired``/``stats``/
-    ``put_record``/``get_record``).
-    Any of these stalls the entire event loop - every other request,
-    heartbeat and timeout in the process waits behind it.  Route the
-    call through ``loop.run_in_executor(...)`` instead.
+    ``put_record``/``get_record``).  Any of these stalls the entire
+    event loop - every other request, lease exchange and timeout in
+    the process waits behind it.  Route the call through
+    ``loop.run_in_executor(...)`` instead.
 ``ASYNC-LOCKED-AWAIT``
     An ``await`` inside a *synchronous* ``with <lock>:`` block.  A
     ``threading.Lock`` held across a suspension point blocks every

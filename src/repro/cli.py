@@ -17,16 +17,13 @@ Subcommands map one-to-one onto the paper's evaluation artifacts::
     wsrs stacks                    # CPI stacks per (benchmark, config)
     wsrs trace gzip --out t.jsonl.gz   # structured pipeline event trace
     wsrs analyze                   # unified static analysis (all passes)
-    wsrs lint                      # alias: wsrs analyze --pass lint
-    wsrs verify                    # static WS/RS invariant rules per config
-    wsrs docscheck                 # alias: wsrs analyze --pass docscheck
     wsrs serve                     # run the simulation job service (HTTP)
     wsrs submit gzip --wait        # submit one job to a running service
     wsrs loadtest                  # drive N clients -> BENCH_service.json
     wsrs loadtest --fleet          # fleet scaling bench -> BENCH_fleet.json
     wsrs explore                   # design-space explorer -> BENCH_explore.json
-    wsrs fleet serve-coordinator   # shard jobs over registered workers
-    wsrs fleet serve-worker --port 8801   # one self-registering node
+    wsrs fleet serve-coordinator   # one backlog that workers lease jobs from
+    wsrs fleet serve-worker --port 8801   # one node leasing from it
 
 ``wsrs simulate --sanitize`` (or ``WSRS_SANITIZE=1`` for any command)
 runs the cycle-level pipeline sanitizer of :mod:`repro.verify.sanitizer`
@@ -183,13 +180,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_docscheck(args: argparse.Namespace) -> int:
-    from repro.analyze.driver import run_analysis
-
-    return run_analysis(passes=["docscheck"], paths=args.paths,
-                        root=args.root, prog="docscheck")
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analyze.driver import run_analysis
 
@@ -310,35 +300,6 @@ def _cmd_savetrace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analyze.driver import run_analysis
-
-    return run_analysis(passes=["lint"], paths=args.paths, prog="lint")
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.config import two_cluster_4way, wsrs_seven_cluster
-    from repro.verify.rules import all_rules, check_config
-
-    configs = list(figure4_configs())
-    configs.append(two_cluster_4way())
-    configs.append(wsrs_seven_cluster())
-    if args.config is not None:
-        configs = [c for c in configs if c.name == args.config]
-    rules = all_rules()
-    print(f"{len(rules)} rule(s): "
-          + ", ".join(rule.rule_id for rule in rules))
-    failures = 0
-    for config in configs:
-        violations = check_config(config)
-        status = "ok" if not violations else "FAIL"
-        print(f"{config.name:<16s} {status}")
-        for violation in violations:
-            failures += 1
-            print(f"    [{violation.rule}] {violation.message}")
-    return 1 if failures else 0
-
-
 def _scheduler_from_args(args: argparse.Namespace, **extra):
     """The scheduler behind ``serve`` and both ``fleet serve-*``."""
     from repro.service.server import build_scheduler
@@ -448,9 +409,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             print(f"fleet speedup {record['speedup']}x below the "
                   f"{args.min_speedup}x floor", file=sys.stderr)
             return 1
-        kill_ok = (record["kill"] is None
-                   or record["kill"]["completed"] == record["kill"]["jobs"])
-        return 0 if record["identical"] and kill_ok else 1
+        kills_ok = all(record[name] is None or record[name]["ok"]
+                       for name in ("kill", "drain"))
+        return 0 if record["identical"] and kills_ok else 1
 
     record = loadtest.run(
         url=args.url, clients=args.clients,
@@ -466,16 +427,12 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_coordinator(args: argparse.Namespace) -> int:
-    from repro.fleet.coordinator import FleetConfig, FleetCoordinator
+    from repro.fleet.coordinator import FleetCoordinator
     from repro.service.server import serve
 
-    ring = FleetCoordinator(
-        FleetConfig(heartbeat_interval=args.heartbeat_interval,
-                    heartbeat_misses=args.heartbeat_misses,
-                    spill_threshold=args.spill_threshold),
-        workers=args.worker or ())
     return serve(host=args.host, port=args.port,
-                 scheduler=_scheduler_from_args(args, backend=ring))
+                 scheduler=_scheduler_from_args(
+                     args, backend=FleetCoordinator()))
 
 
 def _cmd_fleet_worker(args: argparse.Namespace) -> int:
@@ -749,29 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="list registered passes and their rules")
     pz.set_defaults(func=_cmd_analyze)
 
-    pl = sub.add_parser(
-        "lint", help="determinism/API lint over the simulator sources "
-                     "(alias: wsrs analyze --pass lint)")
-    pl.add_argument("paths", nargs="*", default=[],
-                    help="files or directories (default: src/repro + "
-                         "examples/ + benchmarks/)")
-    pl.set_defaults(func=_cmd_lint)
-
-    pw = sub.add_parser(
-        "verify", help="static WS/RS invariant rules per configuration")
-    pw.add_argument("--config", default=None,
-                    help="check a single configuration by name")
-    pw.set_defaults(func=_cmd_verify)
-
-    pd = sub.add_parser(
-        "docscheck",
-        help="check docs for dead links/anchors and stale CLI commands")
-    pd.add_argument("paths", nargs="*", default=[],
-                    help="markdown files (default: README.md + docs/*.md)")
-    pd.add_argument("--root", default=".",
-                    help="repository root for the default target set")
-    pd.set_defaults(func=_cmd_docscheck)
-
     px = sub.add_parser(
         "serve",
         help="run the simulation job service (HTTP, asyncio, stdlib)")
@@ -844,8 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fleet mode: run the job matrix against local "
                          "fleets of 1..N worker processes, verify "
                          "bit-identical cells, restart the coordinator "
-                         "to measure routing-cache affinity, and SIGTERM "
-                         "one worker mid-run to prove node-loss requeue")
+                         "to measure routing-cache affinity, SIGKILL one "
+                         "lease holder mid-run to prove requeue, and "
+                         "SIGTERM one to prove drain")
     py.add_argument("--clients", type=int, default=4)
     py.add_argument("--benchmarks", nargs="*", default=None,
                     metavar="NAME")
@@ -870,12 +805,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="record path (default: BENCH_service.json, or "
                          "BENCH_fleet.json with --fleet)")
     py.add_argument("--no-kill", action="store_true",
-                    help="skip the fleet kill test (--fleet only)")
+                    help="skip the fleet kill and drain tests (--fleet "
+                         "only)")
     py.add_argument("--cell-delay-ms", type=float, default=None,
                     metavar="MS",
-                    help="per-cell service-time floor in fleet mode "
-                         "(default: 800; 0 measures raw compute scaling "
-                         "- needs at least as many cores as nodes)")
+                    help="per-cell service-time floor of the fleet "
+                         "scaling passes (default: 800; 0 measures raw "
+                         "compute scaling - needs at least as many cores "
+                         "as nodes)")
     py.add_argument("--min-speedup", type=float, default=None,
                     metavar="X",
                     help="exit non-zero unless the largest fleet's "
@@ -922,50 +859,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser(
         "fleet",
-        help="multi-node simulation fleet: a sharding coordinator plus "
-             "self-registering worker nodes")
+        help="multi-node simulation fleet: a coordinator holding one "
+             "backlog plus worker nodes that lease jobs from it")
     fleet_sub = pf.add_subparsers(dest="fleet_command", required=True)
 
     pfc = fleet_sub.add_parser(
         "serve-coordinator",
         help="run the fleet coordinator: client-facing /v1/jobs front "
-             "door that consistent-hash shards jobs over registered "
-             "workers, heartbeats them, and requeues on node loss")
+             "door whose backlog workers lease jobs from, owner-first "
+             "by consistent hash; expired leases are requeued")
     pfc.add_argument("--port", type=int, default=8788,
                      help="listen port (0 = OS-assigned, printed on "
                           "start)")
-    pfc.add_argument("--worker", action="append", default=None,
-                     metavar="URL",
-                     help="static worker listing (repeatable); workers "
-                          "can also self-register via POST "
-                          "/v1/fleet/register")
     _add_scheduler_args(
         pfc, backlog=256, quota=32,
-        retry_help="requeues after node losses before failing",
+        retry_help="requeues after lost leases before failing",
         store_help="authoritative result-store directory (replayed on "
                    "coordinator restart)")
-    pfc.add_argument("--heartbeat-interval", type=float, default=0.5,
-                     metavar="SECONDS",
-                     help="how often every worker's /healthz is probed")
-    pfc.add_argument("--heartbeat-misses", type=int, default=3,
-                     help="consecutive missed heartbeats before a node "
-                          "is declared dead and leaves the ring")
-    pfc.add_argument("--spill-threshold", type=int, default=4,
-                     help="outstanding-job imbalance at which a job "
-                          "spills from its primary owner to the "
-                          "secondary")
     pfc.set_defaults(func=_cmd_fleet_coordinator)
 
     pfw = fleet_sub.add_parser(
         "serve-worker",
         help="run one worker node: the full single-host service stack "
-             "on a fixed port, self-registered with the coordinator")
+             "on a fixed port, leasing jobs from the coordinator")
     pfw.add_argument("--port", type=int, required=True,
-                     help="listen port (explicit: the coordinator needs "
-                          "a stable address to route and probe)")
+                     help="listen port; http://HOST:PORT is the node's "
+                          "name on the coordinator's ring, so a "
+                          "restarted node reclaims its keys")
     pfw.add_argument("--coordinator", default="http://127.0.0.1:8788",
                      metavar="URL",
-                     help="coordinator to register with")
+                     help="coordinator to lease jobs from")
     pfw.add_argument("--workers", type=_worker_count, default=None,
                      metavar="N",
                      help="simulation worker processes (default: 2)")

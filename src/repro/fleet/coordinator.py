@@ -1,41 +1,41 @@
-"""The fleet coordinator: the ring dispatch backend of the job scheduler.
+"""The fleet coordinator: the lease backend of the job scheduler.
 
-One coordinator fronts N worker nodes, each a full single-host service
+One coordinator feeds N worker nodes, each a full single-host service
 stack (:mod:`repro.service`).  The coordinator is the service's own
 :class:`~repro.service.scheduler.Scheduler` - the same admission core,
 job table, drain and HTTP front - with :class:`FleetCoordinator` as its
-backend in place of the process pool.  It runs no simulations; the
-backend owns exactly four things:
+backend in place of the process pool.  It runs no simulations and makes
+no outbound requests: admitted jobs wait in one backlog, and workers
+pull them.
 
-* **Routing.**  Jobs shard over workers by consistent hash of the
-  existing idempotency key (:class:`repro.fleet.ring.HashRing`), so a
-  repeat submission lands on the node already holding the cached result
-  and a membership change only remaps the key ranges adjacent to the
-  changed node.  When the primary owner is clearly busier than the
-  secondary (outstanding-job delta >= ``spill_threshold``), the job
-  spills to the secondary - bounded load balancing that sacrifices
-  cache affinity only under real skew.
-* **Liveness.**  A heartbeat task probes every registered worker's
-  ``/healthz`` on a fixed interval; ``heartbeat_misses`` consecutive
-  misses (unreachable, or answering but *draining*) declare the node
-  dead and drop it from the ring.  A dead node that answers again
-  rejoins (revival), reclaiming exactly its old key ranges.
-* **Forwarding.**  A job is POSTed to its node, then awaited with
-  held ``GET /v1/jobs/<id>?wait=`` requests, each at most
-  ``forward_timeout / 2`` and never past the job deadline.  A hold
-  races the job's cancel request, so a client's DELETE reaches the
-  node as soon as it arrives.
-* **Requeue.**  A job in flight on a node that dies - transport failure
-  mid-hold, or a worker-side cancellation the client never asked for -
-  is requeued through the ring (excluding the lost node) by the core's
-  :meth:`~repro.service.scheduler.Scheduler._requeue`, the same bounded
-  ``retry_budget`` the pool backend applies to worker-process crashes:
-  ``attempts > retry_budget`` fails the job with a diagnosable error
-  instead of retrying forever.
+* **Leases.**  A worker holds one ``POST /v1/fleet/lease`` exchange
+  open at a time, saying how many pool slots it has free and which
+  leased jobs it is running.  The exchange registers the worker, renews
+  its leases, and is answered as soon as there is a job for it, one of
+  its jobs was cancelled, or :data:`LEASE_HOLD_S` passes.  A worker asks
+  for at most its free slots, so it never queues fleet work.
+* **Affinity as a preference.**  A worker is handed the oldest queued
+  job whose consistent-hash owner (:class:`repro.fleet.ring.HashRing`,
+  keyed by the job's idempotency key) it is, failing that the oldest
+  queued job.  A newly admitted job goes straight to its owner when the
+  owner is waiting, so another node only takes a job whose owner is
+  busy, and repeat work lands where its cached result lives.
+* **Reports.**  The worker posts each terminal record to
+  ``POST /v1/fleet/leases/<id>``.  A report from a node that does not
+  hold the lease (it expired, or the coordinator restarted) is a 409
+  and is dropped.
+* **Expiry and requeue.**  A node silent for longer than
+  :data:`LEASE_TIMEOUT_S` leaves the ring, and its jobs are requeued by
+  the core's :meth:`~repro.service.scheduler.Scheduler._requeue` - the
+  same bounded ``retry_budget`` the pool backend applies to
+  worker-process crashes.  So is a leased job its worker no longer
+  lists as running.  The same reaper fails jobs past ``job_timeout``.
+* **Cancel is revocation.**  Cancelling a leased job wakes its holder's
+  exchange, whose reply names the job; the worker cancels it locally
+  and reports the cancelled record.
 * **The authoritative result store.**  Every completed payload is
   written to the coordinator's own :class:`repro.service.store
-  .ResultStore` (atomic publication, TTL + corrupt-record sweep), on
-  top of each worker's local cache.  A coordinator restart therefore
+  .ResultStore` before the job finishes, so a coordinator restart
   *replays* completed work from disk, and a worker restart loses only
   cache locality, never results.
 
@@ -46,8 +46,7 @@ cannot tell a coordinator from a plain service.
 
 Every piece of coordinator state is touched only from the event-loop
 thread; disk I/O goes through ``run_in_executor`` (the repo-wide
-ASYNC-BLOCKING-CALL discipline) and worker HTTP through the async
-:mod:`repro.fleet.netio` client.
+ASYNC-BLOCKING-CALL discipline).
 """
 
 from __future__ import annotations
@@ -55,9 +54,8 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.fleet.netio import TransportError, request_json
 from repro.fleet.ring import HashRing
 from repro.service import jobs as jobmodel
 from repro.service.jobs import Job
@@ -69,26 +67,22 @@ DEFAULT_COORDINATOR_PORT = 8788
 #: front door over many nodes, four and two times one node's defaults.
 COORDINATOR_BACKLOG = 256
 COORDINATOR_QUOTA = 32
+#: Longest hold of one lease exchange (seconds).  A worker renews its
+#: leases at least this often.
+LEASE_HOLD_S = 0.5
+#: A node silent for longer than this loses its leases and leaves the
+#: ring (seconds): three missed exchanges.
+LEASE_TIMEOUT_S = 1.5
 
 
-@dataclass(frozen=True)
-class FleetConfig:
-    """Ring knobs of one coordinator.  Admission knobs (backlog, quota,
-    job timeout, retry budget, drain, Retry-After bounds, eviction) are
-    the core's :class:`~repro.service.scheduler.SchedulerConfig`."""
+class _Exchange:
+    """One held lease exchange: the slots it asked for and the jobs
+    handed to it so far."""
 
-    #: Seconds between heartbeat probe rounds.
-    heartbeat_interval: float = 0.5
-    #: Consecutive missed heartbeats before a node is declared dead.
-    heartbeat_misses: int = 3
-    #: Per-HTTP-request timeout when talking to workers (seconds);
-    #: a held GET lasts at most half of it.
-    forward_timeout: float = 10.0
-    #: Route to the secondary owner when the primary holds at least
-    #: this many more outstanding jobs (0 disables spilling).
-    spill_threshold: int = 4
-    #: Virtual nodes per worker on the hash ring.
-    vnodes: int = 64
+    def __init__(self, free: int) -> None:
+        self.free = free
+        self.granted: List[Job] = []
+        self.woken = asyncio.get_running_loop().create_future()
 
 
 @dataclass
@@ -97,81 +91,57 @@ class WorkerNode:
 
     url: str
     alive: bool = True
-    #: Consecutive heartbeat misses (reset on any success).
-    missed: int = 0
-    #: Fleet jobs currently forwarded to this node.
-    outstanding: int = 0
     jobs_done: int = 0
-    registered_at: float = field(default_factory=time.time)
+    #: Job id -> job, for every job this node holds a lease on.
+    leases: Dict[str, Job] = field(default_factory=dict)
+    #: Monotonic time of the node's last exchange or report.
+    seen: float = field(default_factory=time.monotonic)
+    #: The node's open exchange, while one is held.
+    exchange: Optional[_Exchange] = None
 
     def as_dict(self) -> Dict:
         return {"url": self.url, "alive": self.alive,
-                "missed": self.missed, "outstanding": self.outstanding,
-                "jobs_done": self.jobs_done}
-
-
-class NodeLost(Exception):
-    """The node in charge of a job died (or drained) under it."""
+                "leases": len(self.leases), "jobs_done": self.jobs_done}
 
 
 class FleetCoordinator(Backend):
-    """Routing + liveness + forwarding over a set of worker nodes."""
+    """One backlog, leased out to the worker nodes that ask for work."""
 
     prefix = "fleet_"
     store_hit_counter = "fleet_store_hits_total"
     fleet = True
 
-    def __init__(self, config: Optional[FleetConfig] = None,
-                 workers: Sequence[str] = ()) -> None:
-        self.config = config or FleetConfig()
+    def __init__(self) -> None:
         self.nodes: Dict[str, WorkerNode] = {}
-        self.ring = HashRing(vnodes=self.config.vnodes)
-        self._static_workers = list(workers)
-        self._node_of: Dict[str, str] = {}   # job id -> worker url
-        #: Set when the client cancels a forwarded job (job id keyed).
-        self._cancels: Dict[str, asyncio.Event] = {}
-        self._tasks: List["asyncio.Task"] = []
-        self._heartbeat_task: Optional["asyncio.Task"] = None
-
-    def bind(self, core) -> None:
-        super().bind(core)
-        # Static workers register once the registry exists, so they are
-        # counted like self-registered ones.
-        for url in self._static_workers:
-            self.add_worker(url)
+        self.ring = HashRing()
+        #: Queued jobs, oldest first (cancelled ones until skipped).
+        self._backlog: List[Job] = []
+        self._reaper: Optional["asyncio.Task"] = None
+        self._stopped = False
 
     # -- membership ------------------------------------------------------
 
-    def add_worker(self, url: str) -> WorkerNode:
-        """Register a worker (idempotent; a re-register revives it)."""
-        url = url.rstrip("/")
+    def _join(self, url: str) -> WorkerNode:
+        """The node behind an exchange or report, registered or revived
+        as needed, seen now."""
         node = self.nodes.get(url)
         if node is None:
-            node = WorkerNode(url=url)
-            self.nodes[url] = node
-            self.registry.count("fleet_nodes_registered_total")
-        if not node.alive:
-            self._revive(node)
-        if node.alive and url not in self.ring:
+            node = self.nodes[url] = WorkerNode(url=url)
             self.ring.add(url)
+            self.registry.count("fleet_nodes_registered_total")
+        elif not node.alive:
+            node.alive = True
+            self.ring.add(url)
+            self.registry.count("fleet_node_revivals_total")
+        node.seen = time.monotonic()
         return node
 
-    def _mark_dead(self, node: WorkerNode) -> None:
-        if not node.alive:
-            return
+    def _expire(self, node: WorkerNode) -> None:
         node.alive = False
         self.ring.remove(node.url)
         self.registry.count("fleet_node_deaths_total")
-        # In-flight jobs on this node notice when their held GET ends
-        # (the transport fails, or the worker reports a drain-cancel)
-        # and requeue themselves through the ring, which no longer
-        # contains this node.
-
-    def _revive(self, node: WorkerNode) -> None:
-        node.alive = True
-        node.missed = 0
-        self.ring.add(node.url)
-        self.registry.count("fleet_node_revivals_total")
+        for job in list(node.leases.values()):
+            self._lose(job, node, "lease expired")
 
     @property
     def alive_workers(self) -> List[str]:
@@ -185,39 +155,40 @@ class FleetCoordinator(Backend):
     # -- backend lifecycle -----------------------------------------------
 
     async def start(self) -> None:
-        if self._heartbeat_task is None:
-            self._heartbeat_task = asyncio.get_running_loop().create_task(
-                self._heartbeat_loop(), name="wsrs-fleet-heartbeat")
+        if self._reaper is None:
+            self._reaper = asyncio.get_running_loop().create_task(
+                self._reap_loop(), name="wsrs-fleet-reaper")
 
     def dispatch(self, job: Job) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._dispatch(job), name=f"wsrs-fleet-dispatch-{job.id}")
-        self._tasks.append(task)
-        if len(self._tasks) > 64:
-            self._tasks = [item for item in self._tasks
-                           if not item.done()]
+        self._backlog.append(job)
+        self._offer(job)
 
     def cancel(self, job: Job) -> None:
-        """Wake the job's held GET so the DELETE goes out now."""
-        cancelled = self._cancels.get(job.id)
-        if cancelled is not None:
-            cancelled.set()
+        """Wake the holder's exchange so its reply revokes the job."""
+        for node in self.nodes.values():
+            if job.id in node.leases:
+                self._wake(node)
 
     async def stop(self) -> None:
-        pending = [task for task in self._tasks if not task.done()]
-        if self._heartbeat_task is not None:
-            pending.append(self._heartbeat_task)
-            self._heartbeat_task = None
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._tasks = []
+        self._stopped = True
+        for node in self.nodes.values():
+            self._wake(node)
+            for job in list(node.leases.values()):
+                self.core._finish(job, jobmodel.FAILED,
+                                  error="aborted by coordinator shutdown")
+            node.leases.clear()
+        if self._reaper is not None:
+            self._reaper.cancel()
+            await asyncio.gather(self._reaper, return_exceptions=True)
+            self._reaper = None
 
     # -- queries ---------------------------------------------------------
 
     def node_of(self, job_id: str) -> Optional[str]:
-        return self._node_of.get(job_id)
+        for node in self.nodes.values():
+            if job_id in node.leases:
+                return node.url
+        return None
 
     def fleet_summary(self) -> Dict:
         return {
@@ -230,279 +201,176 @@ class FleetCoordinator(Backend):
         return {"wsrs_fleet_workers_total": len(self.nodes),
                 "wsrs_fleet_workers_alive": len(self.alive_workers)}
 
-    # -- routing ---------------------------------------------------------
+    # -- leases ----------------------------------------------------------
 
-    def route(self, key: str, avoid: Optional[List[str]] = None
-              ) -> Optional[str]:
-        """The node a key should run on: its ring owner, spilled to the
-        secondary owner under clear load skew."""
-        owners = self.ring.owners(key, 2, exclude=avoid or [])
-        if not owners:
+    async def lease(self, url: str, free: int,
+                    running: Sequence[str]) -> Optional[Dict]:
+        """One lease exchange from the worker at ``url``: ``free`` pool
+        slots, ``running`` the ids of the leased jobs it still runs.
+        Returns the jobs handed out and the ids it must cancel, or None
+        once the backend has stopped."""
+        if self._stopped:
             return None
-        primary = self.nodes[owners[0]]
-        if (len(owners) > 1 and self.config.spill_threshold > 0):
-            secondary = self.nodes[owners[1]]
-            if (primary.outstanding - secondary.outstanding
-                    >= self.config.spill_threshold):
-                self.registry.count("fleet_spills_total")
-                return secondary.url
-        return primary.url
+        node = self._join(url)
+        self._wake(node)  # a worker asks once at a time
+        listed = set(running)
+        for job in [job for job_id, job in node.leases.items()
+                    if job_id not in listed]:
+            self._lose(job, node, "not running on its node")
+        exchange = _Exchange(free)
+        while len(exchange.granted) < free and self._open():
+            job = self._take(node)
+            if job is None:
+                break
+            self._grant(job, node, exchange)
+        if not exchange.granted and not self._revoked(node, listed):
+            node.exchange = exchange
+            try:
+                await asyncio.wait_for(exchange.woken, LEASE_HOLD_S)
+            except asyncio.TimeoutError:
+                pass
+            finally:
+                if node.exchange is exchange:
+                    node.exchange = None
+            node.seen = time.monotonic()
+        return {"jobs": [{"id": job.id, "client": job.client,
+                          "request": jobmodel.request_payload(job.request)}
+                         for job in exchange.granted],
+                "revoked": self._revoked(node, listed)}
 
-    # -- heartbeats ------------------------------------------------------
+    async def report(self, url: str, job_id: str,
+                     record: object) -> Tuple[int, Dict]:
+        """A worker's terminal record for a leased job; returns the HTTP
+        status and body of the reply."""
+        if (not isinstance(record, dict)
+                or record.get("state") not in jobmodel.TERMINAL_STATES):
+            return 400, {"error": "a report needs a terminal job record"}
+        node = self.nodes.get(url)
+        job = node.leases.pop(job_id, None) if node is not None else None
+        if job is None:
+            self.registry.count("fleet_stale_reports_total")
+            return 409, {"error": f"{url} holds no lease on {job_id}"}
+        node.seen = time.monotonic()
+        result = record.get("result")
+        if (record["state"] == jobmodel.DONE and isinstance(result, dict)
+                and self.core.store is not None):
+            # Stored before the finish, which retires the job's record
+            # without its result.
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.core.store.put, job.key, result)
+        self._fold(job, record, node)
+        self._wake(node)  # its next exchange asks for the freed slot
+        return 200, {"id": job_id, "state": job.state}
 
-    async def _heartbeat_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.heartbeat_interval)
-            nodes = list(self.nodes.values())
-            if nodes:
-                await asyncio.gather(
-                    *(self._probe(node) for node in nodes))
+    def _open(self) -> bool:
+        return not (self._stopped or self.core.draining)
 
-    async def _probe(self, node: WorkerNode) -> None:
-        self.registry.count("fleet_heartbeats_total")
-        timeout = max(0.25, min(self.config.heartbeat_interval * 2.0,
-                                self.config.forward_timeout))
-        healthy = False
-        try:
-            status, _headers, data = await request_json(
-                node.url, "GET", "/healthz", timeout=timeout)
-            healthy = (status == 200 and isinstance(data, dict)
-                       and data.get("status") == "ok")
-        except TransportError:
-            healthy = False
-        if healthy:
-            node.missed = 0
-            if not node.alive:
-                self._revive(node)
+    def _revoked(self, node: WorkerNode, listed: Set[str]) -> List[str]:
+        """Listed jobs the node must stop: cancelled, or no longer its
+        lease (expired, timed out, or unknown to this coordinator)."""
+        return sorted(job_id for job_id in listed
+                      if job_id not in node.leases
+                      or node.leases[job_id].cancel_requested)
+
+    def _take(self, node: WorkerNode) -> Optional[Job]:
+        """The oldest queued job ``node`` owns, else the oldest one."""
+        self._backlog = [job for job in self._backlog
+                         if job.state == jobmodel.QUEUED]
+        for job in self._backlog:
+            if self.ring.node_for(job.key) == node.url:
+                return job
+        return self._backlog[0] if self._backlog else None
+
+    def _offer(self, job: Job) -> None:
+        """Hand a newly queued job to a held exchange: its owner's when
+        the owner is waiting, else any waiting node's."""
+        waiting = [node for node in self.nodes.values()
+                   if node.exchange is not None and node.exchange.free > 0]
+        if not waiting or not self._open():
             return
-        self.registry.count("fleet_heartbeat_misses_total")
-        node.missed += 1
-        if node.alive and node.missed >= self.config.heartbeat_misses:
-            self._mark_dead(node)
+        owner = self.nodes.get(self.ring.node_for(job.key) or "")
+        node = owner if owner in waiting else waiting[0]
+        self._grant(job, node, node.exchange)
+        self._wake(node)
 
-    # -- dispatch --------------------------------------------------------
-
-    async def _dispatch(self, job: Job) -> None:
-        """Drive one job to a terminal state, requeueing on node loss."""
-        core = self.core
-        deadline = time.monotonic() + core.config.job_timeout
-        avoid: List[str] = []
-        try:
-            while True:
-                if job.terminal:
-                    return  # cancelled while queued
-                if core.draining:
-                    core._finish(job, jobmodel.CANCELLED,
-                                 error="server shutting down",
-                                 queued=True)
-                    return
-                node_url = self.route(job.key, avoid=avoid)
-                if node_url is None and avoid:
-                    # Every non-avoided node is gone too; the avoided
-                    # one is dead anyway, so retry the full ring.
-                    avoid = []
-                    node_url = self.route(job.key)
-                if node_url is None:
-                    core._finish(job, jobmodel.FAILED,
-                                 error="no live worker nodes",
-                                 queued=True)
-                    return
-                job.attempts += 1
-                try:
-                    record = await self._forward_and_wait(
-                        job, self.nodes[node_url], deadline)
-                except NodeLost as exc:
-                    if not self._requeue(job, node_url, str(exc)):
-                        return
-                    avoid = [node_url]
-                    continue
-                except asyncio.TimeoutError:
-                    core._finish(job, jobmodel.FAILED,
-                                 error=f"timeout after "
-                                       f"{core.config.job_timeout:.0f}s")
-                    return
-                result = record.get("result")
-                if (record.get("state") == jobmodel.DONE
-                        and isinstance(result, dict)
-                        and core.store is not None):
-                    # Stored before the finish, which retires the job's
-                    # record without its result.
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, core.store.put, job.key, result)
-                self._fold(job, record)
-                return
-        except asyncio.CancelledError:
-            if not job.terminal:
-                core._finish(job, jobmodel.FAILED,
-                             error="aborted by coordinator shutdown",
-                             queued=job.state == jobmodel.QUEUED)
-            raise
-        except Exception as exc:  # defensive: a dispatch bug must not
-            # leave the job spinning forever
-            if not job.terminal:
-                core._finish(job, jobmodel.FAILED,
-                             error=f"{type(exc).__name__}: {exc}",
-                             queued=job.state == jobmodel.QUEUED)
-        finally:
-            self._node_of.pop(job.id, None)
-
-    async def _forward_and_wait(self, job: Job, node: WorkerNode,
-                                deadline: float) -> Dict:
-        """Submit to one worker and hold GETs until the job is terminal
-        there.
-
-        Raises :class:`NodeLost` when the node stops being a usable home
-        for the job, :class:`asyncio.TimeoutError` past the deadline.
-        """
-        headers = {"X-Client": f"fleet:{job.client}"}
-        node.outstanding += 1
-        self._node_of[job.id] = node.url
-        cancelled = self._cancels[job.id] = asyncio.Event()
+    def _grant(self, job: Job, node: WorkerNode,
+               exchange: _Exchange) -> None:
+        self._backlog.remove(job)
         self.core._begin(job)
+        job.attempts += 1
         if job.started_at is None:
             job.started_at = time.time()
-        try:
-            record = await self._forward(job, node, headers, deadline)
-            self.registry.count("fleet_forwarded_total")
-            remote_id = record["id"]
-            cancel_sent = False
-            while record.get("state") not in jobmodel.TERMINAL_STATES:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    await self._try_cancel_remote(node, remote_id,
-                                                  headers)
-                    raise asyncio.TimeoutError
-                if job.cancel_requested and not cancel_sent:
-                    await self._try_cancel_remote(node, remote_id,
-                                                  headers)
-                    cancel_sent = True
-                record = await self._hold(
-                    node, remote_id, headers, remaining,
-                    None if cancel_sent else cancelled) or record
-            if (record.get("state") == jobmodel.CANCELLED
-                    and not job.cancel_requested):
-                # The worker cancelled work the client never asked to
-                # cancel: it is draining out from under us.  Node loss.
-                raise NodeLost(f"{node.url} drained while holding the "
-                               f"job ({record.get('error')})")
-            return record
-        finally:
-            node.outstanding -= 1
-            self._cancels.pop(job.id, None)
-            # Leave _node_of as the last node that held the job; the
-            # next forward overwrites it and _dispatch clears it.
+        node.leases[job.id] = job
+        exchange.granted.append(job)
+        self.registry.count("fleet_leases_total")
+        if self.ring.node_for(job.key) != node.url:
+            self.registry.count("fleet_steals_total")
 
-    async def _hold(self, node: WorkerNode, remote_id: str,
-                    headers: Dict[str, str], remaining: float,
-                    cancelled: Optional[asyncio.Event]) -> Optional[Dict]:
-        """The job's record on ``node`` from one GET held for at most
-        ``forward_timeout / 2`` and ``remaining`` seconds; None when
-        ``cancelled`` is set first, so the caller can send the DELETE."""
-        wait = min(remaining, self.config.forward_timeout / 2.0)
-        loop = asyncio.get_running_loop()
-        held = loop.create_task(request_json(
-            node.url, "GET", f"/v1/jobs/{remote_id}?wait={wait:.3f}",
-            headers=headers, timeout=self.config.forward_timeout))
-        try:
-            if cancelled is not None:
-                woken = loop.create_task(cancelled.wait())
-                try:
-                    await asyncio.wait((held, woken),
-                                       return_when=asyncio.FIRST_COMPLETED)
-                finally:
-                    woken.cancel()
-                if not held.done():
-                    return None
-            status, _h, data = await held
-        except TransportError as exc:
-            raise NodeLost(f"{node.url} unreachable mid-hold: "
-                           f"{exc}") from exc
-        finally:
-            held.cancel()
-        if status != 200 or not isinstance(data, dict):
-            raise NodeLost(f"{node.url} lost track of forwarded "
-                           f"job {remote_id} (HTTP {status})")
-        return data
+    def _wake(self, node: WorkerNode) -> None:
+        """Answer the node's held exchange now."""
+        exchange, node.exchange = node.exchange, None
+        if exchange is not None and not exchange.woken.done():
+            exchange.woken.set_result(None)
 
-    async def _forward(self, job: Job, node: WorkerNode,
-                       headers: Dict[str, str],
-                       deadline: float) -> Dict:
-        """POST the job to a worker, riding out transient sheds."""
-        payload = jobmodel.request_payload(job.request)
-        config = self.config
+    # -- expiry, deadlines, requeue ---------------------------------------
+
+    async def _reap_loop(self) -> None:
         while True:
-            if time.monotonic() >= deadline:
-                raise asyncio.TimeoutError
-            try:
-                status, reply_headers, data = await request_json(
-                    node.url, "POST", "/v1/jobs", payload=payload,
-                    headers=headers, timeout=config.forward_timeout)
-            except TransportError as exc:
-                raise NodeLost(
-                    f"{node.url} unreachable on submit: {exc}") from exc
-            if status in (200, 202) and isinstance(data, dict):
-                if status == 200 and data.get("cached"):
-                    # The node served its local cache: the routing win
-                    # consistent hashing exists to produce.
-                    self.registry.count("fleet_worker_cache_hits_total")
-                return data
-            if status == 429 and isinstance(data, dict):
-                # Worker backlog full: transient back-pressure, not node
-                # loss.  Honour its hint, bounded, then re-offer.
-                hint = data.get("retry_after")
-                pause = min(float(hint) if isinstance(
-                    hint, (int, float)) else 1.0,
-                    float(self.core.config.max_retry_after))
-                await asyncio.sleep(max(0.05, pause))
-                if job.cancel_requested or self.core.draining:
-                    raise NodeLost("gave up re-offering during "
-                                   "cancel/drain")
-                if not node.alive:
-                    raise NodeLost(f"{node.url} died while shedding")
-                continue
-            if status == 503:
-                raise NodeLost(f"{node.url} is draining")
-            detail = data.get("error") if isinstance(data, dict) else data
-            raise RuntimeError(
-                f"worker {node.url} rejected the job ({status}): "
-                f"{detail}")
+            await asyncio.sleep(LEASE_TIMEOUT_S / 3.0)
+            self.reap()
 
-    async def _try_cancel_remote(self, node: WorkerNode, remote_id: str,
-                                 headers: Dict[str, str]) -> None:
-        try:
-            await request_json(node.url, "DELETE",
-                               f"/v1/jobs/{remote_id}", headers=headers,
-                               timeout=self.config.forward_timeout)
-        except TransportError:
-            pass  # the next hold will classify the node's fate
+    def reap(self) -> None:
+        """Expire nodes silent past :data:`LEASE_TIMEOUT_S` and fail
+        jobs past their ``job_timeout`` (counted from admission)."""
+        now = time.monotonic()
+        for node in self.nodes.values():
+            if (node.alive and node.exchange is None
+                    and now - node.seen > LEASE_TIMEOUT_S):
+                self._expire(node)
+        timeout = self.core.config.job_timeout
+        cutoff = time.time() - timeout
+        error = f"timeout after {timeout:.0f}s"
+        for job in self._backlog:
+            if job.state == jobmodel.QUEUED and job.submitted_at < cutoff:
+                self.core._finish(job, jobmodel.FAILED, queued=True,
+                                  error=error if self.ring.nodes else
+                                  f"{error} with no live worker nodes")
+        for node in self.nodes.values():
+            for job in [job for job in node.leases.values()
+                        if job.submitted_at < cutoff]:
+                del node.leases[job.id]
+                self.core._finish(job, jobmodel.FAILED, error=error)
 
-    def _requeue(self, job: Job, node_url: str, reason: str) -> bool:
-        """Fold a node loss into the core's retry budget.  True to
-        retry."""
-        self.registry.count("fleet_node_losses_total")
+    def _lose(self, job: Job, node: WorkerNode, reason: str) -> None:
+        """A lease ended without a report: requeue the job within the
+        core's retry budget (or finish a cancelled one)."""
+        node.leases.pop(job.id, None)
+        self.registry.count("fleet_leases_lost_total")
         if job.cancel_requested:
             self.core._finish(job, jobmodel.CANCELLED,
                               error="cancelled by client")
-            return False
-        if not self.core._requeue(job, f"node lost ({reason})",
-                                  f"lost node {node_url}"):
-            return False
-        self.registry.count("fleet_requeues_total")
-        return True
+        elif self.core._requeue(job, f"lease lost on {node.url} "
+                                     f"({reason})",
+                                f"lost its lease on {node.url}"):
+            self.registry.count("fleet_requeues_total")
+            self._backlog.insert(0, job)
+            self._offer(job)
 
-    def _fold(self, job: Job, record: Dict) -> None:
+    def _fold(self, job: Job, record: Dict, node: WorkerNode) -> None:
         """Adopt a worker's terminal record as the fleet job's outcome."""
         state = record.get("state")
-        node_url = self._node_of.get(job.id)
         if state == jobmodel.DONE:
             result = record.get("result")
             if not isinstance(result, dict):
                 self.core._finish(job, jobmodel.FAILED,
-                                  error=f"{node_url} reported done "
+                                  error=f"{node.url} reported done "
                                         f"without a result payload")
                 return
-            if node_url in self.nodes:
-                self.nodes[node_url].jobs_done += 1
+            if record.get("cached"):
+                # The node answered from its local cache: the win
+                # owner-first leasing exists to produce.
+                self.registry.count("fleet_worker_cache_hits_total")
+            node.jobs_done += 1
             self.core._finish(job, jobmodel.DONE, result=result)
             self.registry.sample(
                 "fleet_job_latency_ms",
@@ -510,9 +378,14 @@ class FleetCoordinator(Backend):
                              * 1000.0)))
             return
         if state == jobmodel.CANCELLED:
+            if not job.cancel_requested:
+                # Cancelled on the node without a revocation: the node
+                # lost the job, the client did not give it up.
+                self._lose(job, node, "cancelled on its node")
+                return
             self.core._finish(job, jobmodel.CANCELLED,
                               error=record.get("error") or "cancelled")
             return
         self.core._finish(job, jobmodel.FAILED,
                           error=record.get("error")
-                          or f"failed on {node_url}")
+                          or f"failed on {node.url}")

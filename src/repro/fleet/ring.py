@@ -1,10 +1,10 @@
 """Consistent-hash ring: idempotency keys -> worker nodes.
 
-The fleet routes every job by its idempotency key
-(:func:`repro.service.jobs.job_key`), so the routing function must be
-*stable under membership change*: when a node joins or leaves, only the
-keys whose ownership genuinely changes may move - every other key keeps
-hitting the node that already holds its cached result.  A consistent-
+The fleet offers every job first to the owner of its idempotency key
+(:func:`repro.service.jobs.job_key`), so ownership must be *stable
+under membership change*: when a node joins or leaves, only the keys
+whose ownership genuinely changes may move - every other key keeps
+preferring the node that already holds its cached result.  A consistent-
 hash ring is the classic structure with exactly that property: each
 node is hashed onto a circle at ``vnodes`` pseudo-random points, a key
 is owned by the first node point clockwise from the key's own hash, and
@@ -17,20 +17,13 @@ load - have huge variance; with 64 points per node the per-node share
 concentrates near ``1/N``.  Hashing is SHA-256 (stable across processes
 and Python versions - ``hash()`` is salted and useless here), truncated
 to 64 bits.
-
-:meth:`HashRing.owners` returns the first ``n`` *distinct* nodes
-clockwise from the key - the replica/spill set: the primary owner
-first, then the node that would inherit the key if the primary left,
-which is what makes "spill to the secondary when the primary is
-overloaded" consistent with "requeue to the next owner when the
-primary dies".
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Default virtual-node count per physical node.
 DEFAULT_VNODES = 64
@@ -89,31 +82,12 @@ class HashRing:
 
     def node_for(self, key: str) -> Optional[str]:
         """The key's owner: first node point clockwise from hash(key)."""
-        owners = self.owners(key, 1)
-        return owners[0] if owners else None
-
-    def owners(self, key: str, n: int,
-               exclude: Sequence[str] = ()) -> List[str]:
-        """The first ``n`` distinct nodes clockwise from ``key``.
-
-        ``exclude`` drops nodes from consideration (a dead primary during
-        requeue) without mutating the ring.
-        """
         points = self._points
-        if not points or n < 1:
-            return []
-        excluded = set(exclude)
+        if not points:
+            return None
         start = bisect.bisect_right(points, (stable_hash(key),
-                                             "￿"))
-        owners: List[str] = []
-        for index in range(len(points)):
-            _, node = points[(start + index) % len(points)]
-            if node in excluded or node in owners:
-                continue
-            owners.append(node)
-            if len(owners) == n:
-                break
-        return owners
+                                             "\uffff"))
+        return points[start % len(points)][1]
 
     def assignments(self, keys: Iterable[str]) -> Dict[str, Optional[str]]:
         """key -> owner for a batch of keys (rebalance-test helper)."""

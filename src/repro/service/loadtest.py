@@ -24,23 +24,26 @@ front of the simulator:
 With ``--fleet`` (:func:`run_fleet` -> ``BENCH_fleet.json``) the same
 harness answers the extra questions a *fleet* raises:
 
-* **Does sharding actually scale?**  The same job matrix runs against
+* **Does the fleet actually scale?**  The same job matrix runs against
   local fleets of 1..N worker processes (real sockets, real spawn-ed
   nodes).  Every fleet must return cells **bit-identical** to a direct
   :func:`repro.experiments.runner.run_matrix` execution, and the
-  scaling record keeps throughput, p95 latency and shed counts per node
-  count.  The acceptance gate: aggregate throughput at the largest
-  fleet >= 2x the 1-worker baseline.
-* **Does routing pay?**  After the compute pass, the coordinator is
-  restarted with a *fresh* store - so nothing short-circuits
-  coordinator-side - and the matrix is re-submitted.  Consistent-hash
-  routing sends every key back to the node that just computed it; the
-  fraction the workers answer from their local caches is the
-  *routing-cache hit rate* (1.0 when affinity is perfect).
+  scaling record keeps throughput, p95 latency, shed counts and the
+  jobs each node ran per node count.  The acceptance gate: aggregate
+  throughput at the largest fleet >= 2x the 1-worker baseline.
+* **Does owner-first leasing pay?**  After the compute pass, the
+  coordinator is restarted with a *fresh* store - so nothing
+  short-circuits coordinator-side - and the matrix is re-submitted.
+  Each key is offered to its consistent-hash owner first; the fraction
+  the workers answer from their local caches is the *routing-cache hit
+  rate* (below 1.0 wherever a job ran on a non-owner in the compute
+  pass, or its owner was busy).
 * **Does the fleet survive a node loss?**  The kill pass submits the
-  matrix to the full fleet, SIGTERMs one worker mid-run, and requires
-  every job to complete - requeued through the ring within the retry
-  budget - still bit-identical.
+  matrix to a fresh fleet and SIGKILLs a worker while it holds a lease;
+  every job must complete - the lost lease requeued within the retry
+  budget - still bit-identical, with at least one requeue.  The drain
+  pass SIGTERMs a lease holder instead: it must report what it holds,
+  so nothing is requeued.
 
 Fleet traces are pre-generated through a shared on-disk trace cache
 (``WSRS_TRACE_CACHE``) by the direct ground-truth run, so no fleet pays
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -74,14 +78,9 @@ DEFAULT_BENCHMARKS = ("gzip", "mcf")
 DEFAULT_CONFIGS = ("RR 256", "WSRS RC S 512")
 
 #: Default fleet matrix: 2 benchmarks x 4 configurations = 8 jobs, so a
-#: three-node fleet has real sharding work (and real imbalance for the
-#: spill path) rather than one key per node.
+#: three-node fleet has real work to share (three rounds at best)
+#: rather than one key per node.
 FLEET_CONFIGS = ("RR 256", "WSRR 512", "WSRS RC S 512", "WSRS RM S 512")
-
-#: Spill aggressively in the fleet bench: with ~8 keys over <=3 nodes
-#: the hash split is lumpy, and makespan (hence the 2x scaling gate) is
-#: set by the fullest node.
-BENCH_SPILL_THRESHOLD = 1
 
 #: Warm matrix run through every fleet *before* the timed compute
 #: pass.  Each worker's pool child pays Python import cost lazily at
@@ -96,12 +95,12 @@ WARM_WARMUP = 100
 WARM_SEED_OFFSET = 97
 
 #: Default per-cell service-time floor (ms) in the fleet scaling
-#: passes.  A fleet on a host with fewer cores than nodes cannot show
-#: wall-clock scaling of purely CPU-bound cells - the cores, not the
-#: sharding, are the bottleneck - so the bench models each node as a
-#: fixed-rate service station
-#: (:func:`repro.fleet.worker.delayed_execute`): the floor *waits*
-#: instead of computing, making the curve measure how well the
+#: passes; the kill and drain passes run without one.  A fleet on a
+#: host with fewer cores than nodes cannot show wall-clock scaling of
+#: purely CPU-bound cells - the cores, not the fleet, are the
+#: bottleneck - so the bench models each node as a fixed-rate service
+#: station (:func:`repro.fleet.worker.delayed_execute`): the floor
+#: *waits* instead of computing, making the curve measure how well the
 #: coordinator distributes queueing, which is the property the fleet
 #: owns.  The real simulator still runs under the floor, so the
 #: bit-identity gate is untouched.  Set 0 on a many-core host to
@@ -349,7 +348,8 @@ def run_fleet(workers: int = 3, clients: int = 8,
     ``workers`` is the *largest* fleet; scaling points run at every
     node count from 1 to ``workers``.  ``server_workers`` is each
     node's pool size (1 keeps the scaling clean: N nodes = N cells in
-    flight).
+    flight).  ``cell_delay_ms`` is the scaling passes' service-time
+    floor.
     """
     from repro.fleet.local import LocalFleet
 
@@ -378,24 +378,27 @@ def run_fleet(workers: int = 3, clients: int = 8,
         _direct_cells(benchmarks, configs, WARM_MEASURE, WARM_WARMUP,
                       warm_seed, direct_workers)  # warm-matrix traces
 
-        def local_fleet(count: int) -> LocalFleet:
+        def local_fleet(count: int, delay_ms: float) -> LocalFleet:
             return LocalFleet(workers=count, server_workers=server_workers,
-                              spill_threshold=BENCH_SPILL_THRESHOLD,
                               job_timeout=job_timeout,
-                              cell_delay_ms=cell_delay_ms,
+                              cell_delay_ms=delay_ms,
                               announce=lambda _m: None)
 
         scaling: List[Dict] = []
         identical = True
         for count in range(1, workers + 1):
             announce(f"fleet bench: {count} worker(s)...")
-            with local_fleet(count) as fleet:
+            with local_fleet(count, cell_delay_ms) as fleet:
                 # Untimed warm pass: spin up every node's pool child
                 # (imports serialize on small hosts) before the clock.
                 _drive_pass(fleet.url, warm_requests, clients,
                             job_timeout, warm_seed)
+                before = _jobs_per_node(fleet)
                 records, compute = _drive_pass(
                     fleet.url, requests, clients, job_timeout, seed)
+                compute["jobs_per_node"] = [
+                    done - before.get(url, 0)
+                    for url, done in sorted(_jobs_per_node(fleet).items())]
                 compute_identical = _cells_of(records) == direct
 
                 # Routing-affinity pass: a fresh coordinator cannot
@@ -425,25 +428,31 @@ def run_fleet(workers: int = 3, clients: int = 8,
                 announce(
                     f"fleet bench: {count} worker(s) - "
                     f"{compute['throughput_jobs_per_s']} jobs/s, p95 "
-                    f"{compute['latency_ms']['p95']} ms, routing hit "
-                    f"rate {routed['routing_cache_hit_rate']}")
+                    f"{compute['latency_ms']['p95']} ms, jobs per node "
+                    f"{compute['jobs_per_node']}, routing hit rate "
+                    f"{routed['routing_cache_hit_rate']}")
 
         base = scaling[0]["compute"]["throughput_jobs_per_s"]
         peak = scaling[-1]["compute"]["throughput_jobs_per_s"]
         speedup = round(peak / base, 3) if base else 0.0
 
-        kill: Optional[Dict] = None
+        kills: Dict[str, Optional[Dict]] = {"kill": None, "drain": None}
         if kill_test and workers >= 2:
-            announce(f"fleet bench: kill test ({workers} workers, "
-                     f"SIGTERM one mid-run)...")
-            with local_fleet(workers) as fleet:
-                kill = _kill_pass(fleet, requests, direct, job_timeout,
-                                  seed)
-            identical = identical and kill["identical"]
-            announce(f"fleet bench: kill test - "
-                     f"{kill['completed']}/{kill['jobs']} completed, "
-                     f"{kill['requeues']} requeue(s), "
-                     f"identical={kill['identical']}")
+            for name, signum in (("kill", signal.SIGKILL),
+                                 ("drain", signal.SIGTERM)):
+                announce(f"fleet bench: {name} test ({workers} workers, "
+                         f"{signal.Signals(signum).name} a lease "
+                         f"holder)...")
+                with local_fleet(workers, 0.0) as fleet:
+                    kills[name] = result = _kill_pass(
+                        fleet, requests, direct, job_timeout, seed,
+                        signum)
+                identical = identical and result["identical"]
+                announce(f"fleet bench: {name} test - "
+                         f"{result['completed']}/{result['jobs']} "
+                         f"completed, {result['requeues']} requeue(s), "
+                         f"identical={result['identical']}, "
+                         f"ok={result['ok']}")
 
         record = {
             "benchmark": "fleet-loadtest",
@@ -453,9 +462,11 @@ def run_fleet(workers: int = 3, clients: int = 8,
             "warmup": warmup,
             "seed": seed,
             "cell_delay_ms": cell_delay_ms,
+            "cpu_count": os.cpu_count(),
             "scaling": scaling,
             "speedup": speedup,
-            "kill": kill,
+            "kill": kills["kill"],
+            "drain": kills["drain"],
             "identical": identical,
         }
         if out:
@@ -472,29 +483,38 @@ def run_fleet(workers: int = 3, clients: int = 8,
             own_cache.cleanup()
 
 
+def _jobs_per_node(fleet) -> Dict[str, int]:
+    return {node["url"]: node["jobs_done"]
+            for node in fleet.coordinator.fleet_summary()["workers"]}
+
+
 def _kill_pass(fleet, requests: List[Dict], direct: List[Dict],
-               job_timeout: float, seed: int) -> Dict:
-    """Submit the matrix, SIGTERM one worker, require full completion."""
+               job_timeout: float, seed: int, signum: int) -> Dict:
+    """Submit the matrix, kill a lease holder with ``signum``, require
+    full completion: with a requeue after SIGKILL, without one after
+    SIGTERM (the draining node reports what it holds)."""
     client = ServiceClient(fleet.url, client_id="fleet-kill", seed=seed)
     begin = time.monotonic()
     submitted = [client.submit(request) for request in requests]
-    victim = fleet.kill_worker(0)
+    victim = fleet.kill_holder(signum)
     finals = [client.wait(record["id"], timeout=job_timeout)
               for record in submitted]
     wall = time.monotonic() - begin
-    registry = fleet.coordinator.registry
+    counters = fleet.coordinator.registry.counters
     completed = [record for record in finals
                  if record.get("state") == "done"]
+    requeues = counters.get("fleet_requeues_total", 0)
+    identical = (len(completed) == len(requests)
+                 and _cells_of(finals) == direct)
     return {
+        "signal": signal.Signals(signum).name,
         "jobs": len(requests),
         "completed": len(completed),
         "victim": victim,
         "wall_seconds": round(wall, 3),
-        "requeues": registry.counters.get("fleet_requeues_total", 0),
-        "node_losses": registry.counters.get(
-            "fleet_node_losses_total", 0),
-        "node_deaths": registry.counters.get(
-            "fleet_node_deaths_total", 0),
-        "identical": (len(completed) == len(requests)
-                      and _cells_of(finals) == direct),
+        "requeues": requeues,
+        "leases_lost": counters.get("fleet_leases_lost_total", 0),
+        "identical": identical,
+        "ok": identical and (requeues >= 1 if signum == signal.SIGKILL
+                             else requeues == 0),
     }

@@ -21,8 +21,9 @@ runs:
   cells through a ``ProcessPoolExecutor`` (the same engine
   :func:`repro.experiments.runner.execute_many` fans matrices over),
   checking the job deadline and cancellation flag between cells.  The
-  fleet's ring backend (:class:`repro.fleet.coordinator
-  .FleetCoordinator`) forwards each job to a worker node instead.
+  fleet's lease backend (:class:`repro.fleet.coordinator
+  .FleetCoordinator`) keeps admitted jobs in one backlog that worker
+  nodes lease from instead.
 * **Failure containment** - a lost attempt (a pool-process crash
   surfacing as ``BrokenProcessPool``, or a fleet node dying under the
   job) is requeued through :meth:`Scheduler._requeue` within a bounded
@@ -34,7 +35,8 @@ runs:
   awaits :meth:`Scheduler.wait` on that job: the HTTP front's held
   ``GET /v1/jobs/<id>?wait=`` and the drain.  With a result store the
   finished record then retires to ``records/<id>.json`` and leaves the
-  in-memory job table, which so holds only live jobs.
+  in-memory job table, which so holds only live jobs; without one the
+  table keeps the :data:`FINISHED_JOBS_KEPT` most recent finished jobs.
 * **Graceful drain** - :meth:`Scheduler.shutdown` stops admission,
   waits up to ``drain_timeout`` for the running jobs to finish,
   cancels the backlog, then stops the backend; the pool backend tears
@@ -51,6 +53,7 @@ renders them (plus live gauges) in Prometheus text format for the
 from __future__ import annotations
 
 import asyncio
+import collections
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -68,6 +71,10 @@ from repro.obs.registry import ObsRegistry
 from repro.service import jobs as jobmodel
 from repro.service.jobs import Job, JobValidationError
 from repro.service.store import ResultStore
+
+#: Finished jobs a scheduler without a result store keeps answering
+#: for (about 3.4 KB each); older ones are forgotten, oldest first.
+FINISHED_JOBS_KEPT = 1024
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,7 @@ class Backend:
 
     def cancel(self, job: Job) -> None:
         """A running job was flagged to stop; the pool backend reads
-        the flag between cells, so only a forwarding backend acts."""
+        the flag between cells, so only the fleet backend acts."""
 
     async def stop(self) -> None:
         """Reap every task and resource (drain already ran)."""
@@ -170,9 +177,10 @@ class Scheduler:
             raise ValueError("SchedulerConfig.workers must be >= 1")
         self.store = store
         self.registry = registry or ObsRegistry()
-        #: Live jobs, plus finished ones when there is no store to
-        #: retire them to.
+        #: Live jobs, plus the most recent finished ones when there is
+        #: no store to retire them to (ids in ``_finished``).
         self.jobs: Dict[str, Job] = {}
+        self._finished: "collections.deque[str]" = collections.deque()
         self._completions: Dict[str, asyncio.Event] = {}
         self._by_key: Dict[str, Job] = {}
         self._client_active: Dict[str, int] = {}
@@ -454,6 +462,10 @@ class Scheduler:
             completion.set()
         if self.store is not None:
             self._retire(job)
+            return
+        self._finished.append(job.id)
+        if len(self._finished) > FINISHED_JOBS_KEPT:
+            self.jobs.pop(self._finished.popleft(), None)
 
     def _retire(self, job: Job) -> None:
         """Write the finished record, less its result (the store holds

@@ -23,18 +23,22 @@ close``), JSON in and out.  The API surface:
                                scheduler's ObsRegistry
 =============================  =========================================
 
-When the scheduler's backend is a fleet coordinator's ring
+When the scheduler's backend is a fleet coordinator
 (:class:`repro.fleet.coordinator.FleetCoordinator`), the same front
 adds the fleet routes, the holding ``node`` to job records and a
 ``fleet`` section to ``/healthz``:
 
-=============================  =========================================
-``POST /v1/fleet/register``    a worker announces itself
-                               (``{"url": "http://host:port"}``);
-                               idempotent, revives a dead node
-``GET /v1/fleet``              fleet topology: per-worker liveness,
-                               outstanding jobs, completions
-=============================  =========================================
+=================================  =====================================
+``POST /v1/fleet/lease``           a worker's held lease exchange
+                                   (``{"node", "free", "running"}``);
+                                   replies ``{"jobs", "revoked"}``
+``POST /v1/fleet/leases/<id>``     a worker reports a leased job's
+                                   terminal record (``{"node",
+                                   "record"}``); 409 from a node that
+                                   does not hold the lease
+``GET /v1/fleet``                  fleet topology: per-worker liveness,
+                                   leases held, completions
+=================================  =====================================
 
 The client id used for quota accounting comes from the ``X-Client``
 header (falling back to a ``client`` field in the body, then
@@ -55,7 +59,9 @@ for connections to close, so a hold never stalls a drain.
 SIGINT/SIGTERM handlers that stop the listener and *drain* the
 scheduler - running jobs finish, the backlog is cancelled, the worker
 pool is reaped - before the process exits; ``wsrs fleet
-serve-coordinator`` runs it over a ring-backed scheduler.
+serve-coordinator`` runs it over a lease-backed scheduler, whose drain
+runs before the listener closes because leased jobs finish through
+worker reports.
 :class:`EmbeddedServer` runs the same stack on a background thread with
 an OS-assigned port, which is how the load tester, the local fleet
 harness and the test-suite spin up a live server in-process.
@@ -68,7 +74,7 @@ import json
 import math
 import signal
 import threading
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs
 
 from repro.service.jobs import Job
@@ -84,6 +90,9 @@ from repro.service.store import DEFAULT_TTL_SECONDS, ResultStore
 #: Largest accepted request body (a job request is tiny; anything bigger
 #: is abuse).
 MAX_BODY_BYTES = 64 * 1024
+#: Largest accepted fleet report: it carries a finished job's whole
+#: result, as large as a worker would ever answer a GET with.
+MAX_REPORT_BYTES = 16 * 1024 * 1024
 
 #: Longest hold of one ``GET /v1/jobs/<id>?wait=`` (seconds): below the
 #: client's default 30 s socket timeout.
@@ -106,9 +115,10 @@ class _BadRequest(Exception):
         self.message = message
 
 
-async def _read_request(reader: asyncio.StreamReader
+async def _read_request(reader: asyncio.StreamReader, fleet: bool
                         ) -> Tuple[str, str, Dict[str, str], bytes]:
-    """Parse one HTTP/1.1 request into (method, target, headers, body).
+    """Parse one HTTP/1.1 request into (method, target, headers, body);
+    ``fleet`` admits the large bodies of worker reports.
 
     Raises :class:`_BadRequest` on malformed or oversized input.
     """
@@ -128,7 +138,8 @@ async def _read_request(reader: asyncio.StreamReader
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY_BYTES:
+        report = fleet and target.startswith("/v1/fleet/leases/")
+        if length > (MAX_REPORT_BYTES if report else MAX_BODY_BYTES):
             raise _BadRequest(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
     except (asyncio.TimeoutError, asyncio.IncompleteReadError,
@@ -165,6 +176,9 @@ class ServiceServer:
         if self._server is not None:
             self._stopping = True
             self._server.close()
+            # Let connections accepted just before the close start
+            # their handlers, so the wait below covers them too.
+            await asyncio.sleep(0)
             for hold in self._holds:
                 hold.cancel()
             if self._connections:
@@ -206,7 +220,8 @@ class ServiceServer:
     async def _respond(self, reader: asyncio.StreamReader
                        ) -> Tuple[int, object, Dict[str, str]]:
         try:
-            method, target, headers, body = await _read_request(reader)
+            method, target, headers, body = await _read_request(
+                reader, self.scheduler.backend.fleet)
         except _BadRequest as bad:
             return bad.status, {"error": bad.message}, {}
         return await self.route(method, target, headers, body)
@@ -231,10 +246,10 @@ class ServiceServer:
             if method != "GET":
                 return 405, {"error": "fleet topology is GET-only"}, {}
             return 200, self.scheduler.backend.fleet_summary(), {}
-        if fleet and path == "/v1/fleet/register":
+        if fleet and path.startswith("/v1/fleet/lease"):
             if method != "POST":
-                return 405, {"error": "register workers with POST"}, {}
-            return self._register(body)
+                return 405, {"error": "lease exchanges are POST-only"}, {}
+            return await self._lease(path, body)
         if path == "/v1/jobs":
             if method != "POST":
                 return 405, {"error": "submit jobs with POST"}, {}
@@ -262,26 +277,37 @@ class ServiceServer:
             record["fleet"] = scheduler.backend.fleet_summary()
         return record
 
-    def _register(self, body: bytes
-                  ) -> Tuple[int, object, Dict[str, str]]:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, ValueError):
-            return 400, {"error": "request body is not valid JSON"}, {}
-        url = payload.get("url") if isinstance(payload, dict) else None
-        if not isinstance(url, str) or not url.startswith("http"):
-            return 400, {"error": "register payload needs a worker "
-                                  "'url'"}, {}
+    async def _lease(self, path: str, body: bytes
+                     ) -> Tuple[int, object, Dict[str, str]]:
+        """A lease exchange (``/v1/fleet/lease``) or a report
+        (``/v1/fleet/leases/<id>``)."""
+        payload = _json_object(body)
+        node = payload.get("node") if isinstance(payload, dict) else None
+        if not isinstance(node, str) or not node:
+            return 400, {"error": "a lease request names its 'node'"}, {}
         backend = self.scheduler.backend
-        node = backend.add_worker(url)
-        return 200, {"registered": node.url,
-                     "workers": backend.alive_workers}, {}
+        if path.startswith("/v1/fleet/leases/"):
+            status, reply = await backend.report(
+                node, path[len("/v1/fleet/leases/"):],
+                payload.get("record"))
+            return status, reply, {}
+        if path != "/v1/fleet/lease":
+            return 404, {"error": f"no route for {path!r}"}, {}
+        free, running = payload.get("free"), payload.get("running")
+        if (not isinstance(free, int) or free < 0
+                or not isinstance(running, list)
+                or not all(isinstance(item, str) for item in running)):
+            return 400, {"error": "a lease request needs 'free' >= 0 "
+                                  "and a 'running' id list"}, {}
+        reply = await backend.lease(node, free, running)
+        if reply is None:
+            return 503, {"error": "coordinator is stopping"}, {}
+        return 200, reply, {}
 
     def _submit(self, headers: Dict[str, str], body: bytes
                 ) -> Tuple[int, object, Dict[str, str]]:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, ValueError):
+        payload = _json_object(body)
+        if payload is None:
             return 400, {"error": "request body is not valid JSON"}, {}
         client = headers.get("x-client") or (
             payload.get("client") if isinstance(payload, dict) else None
@@ -354,6 +380,14 @@ class ServiceServer:
                      "state": job.state if job else None}, {}
 
 
+def _json_object(body: bytes) -> Optional[object]:
+    """The parsed JSON body ({} when empty), or None when malformed."""
+    try:
+        return json.loads(body.decode("utf-8")) if body else {}
+    except (UnicodeDecodeError, ValueError):
+        return None
+
+
 def _wait_seconds(query: str) -> float:
     """The hold a ``?wait=S`` query asks for, clamped to
     :data:`MAX_WAIT_S`; 0 without one.  ValueError when malformed."""
@@ -415,10 +449,17 @@ def build_scheduler(workers: int = 2, backlog: int = 64, quota: int = 16,
                      **kwargs)
 
 
+#: A task run beside the server: called with the server's URL and the
+#: stop event, it returns once the stop is set and its work is handed
+#: back (a fleet worker's lease loop).
+Companion = Callable[[str, asyncio.Event], Awaitable[None]]
+
+
 async def _amain(scheduler: Scheduler, host: str, port: int,
                  ready: Optional[Callable[[ServiceServer], None]] = None,
                  stop_event: Optional[asyncio.Event] = None,
-                 announce: Callable[[str], None] = print) -> None:
+                 announce: Callable[[str], None] = print,
+                 companion: Optional[Companion] = None) -> None:
     await scheduler.start()
     server = ServiceServer(scheduler, host=host, port=port)
     await server.start()
@@ -433,22 +474,35 @@ async def _amain(scheduler: Scheduler, host: str, port: int,
     announce(f"wsrs {role} listening on {server.url}")
     if ready is not None:
         ready(server)
+    beside = (loop.create_task(companion(server.url, stop))
+              if companion is not None else None)
     try:
         await stop.wait()
     finally:
+        stop.set()
         announce(f"wsrs {role} draining (in-flight jobs finishing)...")
-        await server.stop()
-        await scheduler.shutdown(drain=True)
+        if beside is not None:
+            await beside
+        if scheduler.backend.fleet:
+            # Leased jobs finish through worker reports to this
+            # listener, so it stays open while the scheduler drains.
+            await scheduler.shutdown(drain=True)
+            await server.stop()
+        else:
+            await server.stop()
+            await scheduler.shutdown(drain=True)
         announce(f"wsrs {role} stopped")
 
 
 def serve(host: str = "127.0.0.1", port: int = 8787,
           scheduler: Optional[Scheduler] = None,
-          announce: Callable[[str], None] = print) -> int:
+          announce: Callable[[str], None] = print,
+          companion: Optional[Companion] = None) -> int:
     """Run the service until SIGINT/SIGTERM; returns a process exit code."""
     scheduler = scheduler or build_scheduler()
     try:
-        asyncio.run(_amain(scheduler, host, port, announce=announce))
+        asyncio.run(_amain(scheduler, host, port, announce=announce,
+                           companion=companion))
     except KeyboardInterrupt:
         pass  # drain already ran via the signal handler where possible
     return 0

@@ -85,8 +85,8 @@ class TestBlockingCall:
 
 
 class TestSyncHttp:
-    """Synchronous HTTP in async context (the fleet coordinator's
-    heartbeat/forwarding paths must use the async netio client)."""
+    """Synchronous HTTP in async context (the fleet worker's lease
+    and report paths must use the async netio client)."""
 
     @pytest.mark.parametrize("call", [
         "http.client.HTTPConnection('h', 80)",
@@ -190,7 +190,7 @@ class TestServiceTree:
         fleet.mkdir(parents=True)
         (fleet / "coordinator.py").write_text(
             "import time\n"
-            "async def heartbeat():\n"
+            "async def lease():\n"
             "    time.sleep(1)\n")
         context = AnalysisContext(root=tmp_path)
         findings = async_hazard.run_async_hazard(context)

@@ -197,21 +197,6 @@ class TestDriver:
 
 
 class TestCliAliases:
-    def test_lint_alias_clean(self, capsys):
-        from repro.cli import main
-
-        assert main(["lint"]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_docscheck_alias_matches_analyze_pass(self, capsys):
-        from repro.cli import main
-
-        assert main(["docscheck", "--root", str(ROOT)]) == 0
-        alias_output = capsys.readouterr().out
-        assert main(["analyze", "--pass", "docscheck",
-                     "--root", str(ROOT)]) == 0
-        assert "clean" in alias_output
-
     def test_analyze_list_passes(self, capsys):
         from repro.cli import main
 

@@ -59,9 +59,13 @@ class TestParser:
         assert args.benchmark is None  # resolves to the mcf default
 
     def test_lint_and_verify_commands(self):
-        assert build_parser().parse_args(["lint"]).command == "lint"
-        args = build_parser().parse_args(["verify", "--config", "RR 256"])
-        assert args.config == "RR 256"
+        # Lint and the config rules are passes of `wsrs analyze`.
+        args = build_parser().parse_args(
+            ["analyze", "--pass", "lint", "--pass", "config-rules"])
+        assert args.passes == ["lint", "config-rules"]
+        for alias in ("lint", "verify", "docscheck"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([alias])
 
 
 class TestCommands:
@@ -93,24 +97,23 @@ class TestCommands:
         assert code in (0, 1)  # relations may not hold at tiny scale
 
     def test_lint_repo_is_clean(self, capsys):
-        assert main(["lint"]) == 0
+        assert main(["analyze", "--pass", "lint"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_lint_reports_findings(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\nrandom.random()\n",
                        encoding="utf-8")
-        assert main(["lint", str(bad)]) == 1
+        assert main(["analyze", "--pass", "lint", str(bad)]) == 1
         output = capsys.readouterr().out
         assert "LINT-RANDOM" in output
         assert "1 finding(s)" in output
 
     def test_verify_all_configs_pass(self, capsys):
-        assert main(["verify"]) == 0
-        output = capsys.readouterr().out
-        assert "CFG-WRITE-PARTITION" in output
-        assert "WSRS RC S 512" in output
-        assert "FAIL" not in output
+        assert main(["analyze", "--pass", "config-rules"]) == 0
+        assert "clean" in capsys.readouterr().out
+        assert main(["analyze", "--list-passes"]) == 0
+        assert "CFG-WRITE-PARTITION" in capsys.readouterr().out
 
     def test_simulate_sanitized_tiny_run(self, capsys):
         code = main(["simulate", "gzip", "--config", "WSRS RC S 512",

@@ -131,12 +131,13 @@ class TestRepositoryDocs:
             f"{f.path}:{f.line} [{f.kind}] {f.message}" for f in findings)
 
     def test_cli_reports_clean(self, capsys):
-        assert main(["docscheck", "--root", str(REPO_ROOT)]) == 0
-        assert "docscheck: clean" in capsys.readouterr().out
+        assert main(["analyze", "--pass", "docscheck",
+                     "--root", str(REPO_ROOT)]) == 0
+        assert "analyze: clean" in capsys.readouterr().out
 
     def test_cli_reports_findings(self, tmp_path, capsys):
         page = tmp_path / "bad.md"
         page.write_text("[gone](missing.md)\n")
-        assert main(["docscheck", str(page),
+        assert main(["analyze", "--pass", "docscheck", str(page),
                      "--root", str(tmp_path)]) == 1
         assert "missing.md" in capsys.readouterr().out

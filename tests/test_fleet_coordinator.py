@@ -1,12 +1,11 @@
-"""Coordinator failure modes, socket-free (repro.fleet.coordinator).
+"""Coordinator lease paths, socket-free (repro.fleet.coordinator).
 
-The dispatch loop and heartbeat prober are exercised directly on an
-event loop with the worker I/O stubbed out: node loss mid-job requeues
-through the ring away from the lost node, the crash-requeue budget
-exhausts into a clean FAILED, heartbeat misses (including a worker
-answering "draining") kill and revive membership, and a restarted
-coordinator replays completed work from the authoritative store
-without any worker at all.
+The lease backend's entry points - ``lease``, ``report`` and ``reap``
+- are called directly on an event loop in place of worker nodes: owner
+preference and stealing, expiry requeue within the retry budget,
+revocation, stale reports, deadlines, the "always three rounds"
+property of one shared backlog, and a restarted coordinator replaying
+completed work from the authoritative store without any worker at all.
 """
 
 import asyncio
@@ -16,12 +15,7 @@ import time
 import pytest
 
 import repro.fleet.coordinator as coordinator_module
-from repro.fleet.coordinator import (
-    FleetConfig,
-    FleetCoordinator,
-    NodeLost,
-)
-from repro.fleet.netio import TransportError
+from repro.fleet.coordinator import FleetCoordinator
 from repro.service import jobs as jobmodel
 from repro.service.scheduler import (
     Scheduler,
@@ -32,85 +26,95 @@ from repro.service.store import ResultStore
 
 PAYLOAD = {"kind": "simulate", "benchmarks": ["gzip"],
            "configs": ["RR 256"], "measure": 100, "warmup": 0, "seed": 7}
-WORKERS = ("http://n0:1", "http://n1:2")
+N0, N1, N2 = "http://n0:1", "http://n1:2", "http://n2:3"
+DONE = {"state": jobmodel.DONE, "result": {"cells": ["remote"]}}
 
 
-def _coordinator(workers=WORKERS, store=None, retry_budget=2, **knobs):
-    config = FleetConfig(heartbeat_interval=0.01, **knobs)
-    return Scheduler(SchedulerConfig(retry_budget=retry_budget),
-                     store=store,
-                     backend=FleetCoordinator(config, workers=workers))
+@pytest.fixture(autouse=True)
+def short_holds(monkeypatch):
+    """Idle exchanges come back after 50 ms instead of 0.5 s."""
+    monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 0.05)
 
 
-def _stub_forward(coordinator, outcomes, visited):
-    """Script _forward_and_wait: each outcome is either an exception to
-    raise or a terminal worker record to return.  Keeps the real
-    method's queued/running bookkeeping so _requeue/_finish accounting
-    stays honest."""
-
-    async def fake(job, node, deadline):
-        visited.append(node.url)
-        if job.state == jobmodel.QUEUED:
-            coordinator._queued -= 1
-            coordinator._running += 1
-        job.state = jobmodel.RUNNING
-        outcome = outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    coordinator.backend._forward_and_wait = fake
+def _coordinator(store=None, retry_budget=2, **config):
+    return Scheduler(SchedulerConfig(retry_budget=retry_budget, **config),
+                     store=store, backend=FleetCoordinator())
 
 
-def _run_one(coordinator, payload=PAYLOAD, client="tester"):
-    """Submit one job on a fresh loop and drive it to a terminal state."""
+def _payload(seed):
+    return dict(PAYLOAD, seed=seed)
 
-    async def drive():
-        admission = coordinator.submit(payload, client=client)
-        assert admission.status == 202
-        await asyncio.gather(*coordinator.backend._tasks)
-        return admission.job
 
-    return asyncio.run(drive())
+def _owned_by(backend, node, skip=0):
+    """A payload whose key the ring assigns to ``node``."""
+    for seed in range(1000):
+        key = jobmodel.job_key(jobmodel.parse_request(_payload(seed)))
+        if backend.ring.node_for(key) == node:
+            if not skip:
+                return _payload(seed)
+            skip -= 1
+    raise AssertionError(f"no key owned by {node}")
+
+
+def _silence(backend, node):
+    """Make ``node`` look silent past the lease timeout."""
+    backend.nodes[node].seen -= 10 * coordinator_module.LEASE_TIMEOUT_S
+
+
+def _ids(reply):
+    return [grant["id"] for grant in reply["jobs"]]
 
 
 class TestNodeLossRequeue:
     def test_requeue_lands_on_another_node_then_succeeds(self, tmp_path):
         store = ResultStore(str(tmp_path), ttl_seconds=60.0)
         coordinator = _coordinator(store=store)
-        visited = []
-        _stub_forward(coordinator, [
-            NodeLost("unreachable mid-poll"),
-            {"id": "r1", "state": jobmodel.DONE,
-             "result": {"cells": [1, 2]}},
-        ], visited)
-        job = _run_one(coordinator)
+        backend = coordinator.backend
+
+        async def main():
+            job = coordinator.submit(PAYLOAD, client="tester").job
+            assert _ids(await backend.lease(N0, 1, [])) == [job.id]
+            await backend.lease(N1, 0, [])
+            _silence(backend, N0)
+            backend.reap()
+            assert job.state == jobmodel.QUEUED
+            assert _ids(await backend.lease(N1, 1, [])) == [job.id]
+            assert await backend.report(N1, job.id, DONE) == (
+                200, {"id": job.id, "state": jobmodel.DONE})
+            return job
+
+        job = asyncio.run(main())
         assert job.state == jobmodel.DONE
         assert job.attempts == 2
-        assert len(visited) == 2
-        assert visited[1] != visited[0]  # retry avoided the lost node
         assert any("requeued" in note for note in job.notes)
         counters = coordinator.registry.counters
-        assert counters["fleet_node_losses_total"] == 1
+        assert counters["fleet_leases_lost_total"] == 1
         assert counters["fleet_requeues_total"] == 1
+        assert counters["fleet_node_deaths_total"] == 1
         # The completed payload reached the authoritative store.
-        assert store.get(job.key) == {"cells": [1, 2]}
+        assert store.get(job.key) == {"cells": ["remote"]}
         assert coordinator.queued == 0
         assert coordinator.running == 0
 
     def test_retry_budget_exhaustion_fails_cleanly(self):
         coordinator = _coordinator(retry_budget=1)
-        visited = []
-        _stub_forward(coordinator, [
-            NodeLost("first loss"), NodeLost("second loss"),
-        ], visited)
-        job = _run_one(coordinator)
+        backend = coordinator.backend
+
+        async def main():
+            job = coordinator.submit(PAYLOAD, client="tester").job
+            for node in (N0, N1):
+                assert _ids(await backend.lease(node, 1, [])) == [job.id]
+                _silence(backend, node)
+                backend.reap()
+            return job
+
+        job = asyncio.run(main())
         assert job.state == jobmodel.FAILED
         assert "retry budget (1) exhausted" in job.error
-        assert "second loss" in job.error
+        assert f"lease lost on {N1} (lease expired)" in job.error
         assert job.attempts == 2
         counters = coordinator.registry.counters
-        assert counters["fleet_node_losses_total"] == 2
+        assert counters["fleet_leases_lost_total"] == 2
         assert counters["fleet_requeues_total"] == 1
         # No leaked accounting: quota released, nothing queued/running.
         assert coordinator._client_active == {}
@@ -119,93 +123,295 @@ class TestNodeLossRequeue:
 
     def test_cancelled_job_is_not_requeued(self):
         coordinator = _coordinator()
+        backend = coordinator.backend
 
-        async def fake(job, node, deadline):
-            if job.state == jobmodel.QUEUED:
-                coordinator._queued -= 1
-                coordinator._running += 1
-            job.state = jobmodel.RUNNING
-            job.cancel_requested = True  # client cancels mid-flight
-            raise NodeLost("node drained under the job")
+        async def main():
+            job = coordinator.submit(PAYLOAD, client="tester").job
+            await backend.lease(N0, 1, [])
+            assert coordinator.cancel(job.id) is True
+            _silence(backend, N0)  # the node dies before it reports
+            backend.reap()
+            return job
 
-        coordinator.backend._forward_and_wait = fake
-        job = _run_one(coordinator)
+        job = asyncio.run(main())
         assert job.state == jobmodel.CANCELLED
         assert coordinator.registry.counters.get(
             "fleet_requeues_total", 0) == 0
 
     def test_no_live_workers_fails_the_job(self):
-        coordinator = _coordinator(workers=())
-        job = _run_one(coordinator)
+        coordinator = _coordinator(job_timeout=0.05)
+
+        async def main():
+            job = coordinator.submit(PAYLOAD, client="tester").job
+            await asyncio.sleep(0.1)
+            coordinator.backend.reap()
+            return job
+
+        job = asyncio.run(main())
         assert job.state == jobmodel.FAILED
-        assert job.error == "no live worker nodes"
+        assert job.error == "timeout after 0s with no live worker nodes"
+        assert coordinator.queued == 0
 
 
-class TestHeartbeats:
-    def test_misses_mark_dead_then_success_revives(self, monkeypatch):
-        coordinator = _coordinator(workers=("http://n0:1",),
-                                   heartbeat_misses=3)
-        node = coordinator.backend.nodes["http://n0:1"]
+class TestLiveness:
+    def test_misses_mark_dead_then_a_lease_revives(self):
+        coordinator = _coordinator()
+        backend = coordinator.backend
 
-        async def down(*_args, **_kwargs):
-            raise TransportError("connection refused")
+        async def main():
+            await backend.lease(N0, 0, [])
+            # An open exchange keeps a node alive however long ago it
+            # was last seen.
+            exchange = asyncio.ensure_future(backend.lease(N0, 0, []))
+            await asyncio.sleep(0)
+            _silence(backend, N0)
+            backend.reap()
+            assert backend.nodes[N0].alive
+            await exchange
+            _silence(backend, N0)
+            backend.reap()
+            assert not backend.nodes[N0].alive
+            assert N0 not in backend.ring
+            assert backend.alive_workers == []
+            # Its next exchange revives it with its old key ranges.
+            await backend.lease(N0, 0, [])
+            assert backend.nodes[N0].alive
+            assert N0 in backend.ring
 
-        async def up(*_args, **_kwargs):
-            return 200, {}, {"status": "ok"}
-
-        async def drive():
-            monkeypatch.setattr(coordinator_module, "request_json", down)
-            await coordinator.backend._probe(node)
-            await coordinator.backend._probe(node)
-            # Below the threshold the node stays routable.
-            assert node.alive
-            assert node.missed == 2
-            await coordinator.backend._probe(node)
-            assert not node.alive
-            assert "http://n0:1" not in coordinator.backend.ring
-            assert coordinator.backend.alive_workers == []
-            # One successful probe revives it with its old key ranges.
-            monkeypatch.setattr(coordinator_module, "request_json", up)
-            await coordinator.backend._probe(node)
-            assert node.alive
-            assert node.missed == 0
-            assert "http://n0:1" in coordinator.backend.ring
-
-        asyncio.run(drive())
+        asyncio.run(main())
         counters = coordinator.registry.counters
-        assert counters["fleet_heartbeat_misses_total"] == 3
+        assert counters["fleet_nodes_registered_total"] == 1
         assert counters["fleet_node_deaths_total"] == 1
         assert counters["fleet_node_revivals_total"] == 1
 
-    def test_draining_answer_counts_as_a_miss(self, monkeypatch):
-        coordinator = _coordinator(workers=("http://n0:1",),
-                                   heartbeat_misses=1)
-        node = coordinator.backend.nodes["http://n0:1"]
 
-        async def draining(*_args, **_kwargs):
-            return 200, {}, {"status": "draining"}
+class TestHeldForwarding:
+    """Jobs, and cancels, reach workers through held lease exchanges."""
 
-        monkeypatch.setattr(coordinator_module, "request_json", draining)
-        asyncio.run(coordinator.backend._probe(node))
-        assert not node.alive
-
-    def test_worker_503_on_submit_is_node_loss(self, monkeypatch):
+    def test_cancel_reaches_the_worker_within_100ms_of_a_hold(
+            self, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 10.0)
         coordinator = _coordinator()
-        node = coordinator.backend.nodes[WORKERS[0]]
-        job = coordinator._attach(
-            jobmodel.parse_request(PAYLOAD), "deadbeef", "tester")
+        backend = coordinator.backend
 
-        async def shed(*_args, **_kwargs):
-            return 503, {}, {"error": "draining"}
+        async def main():
+            job = coordinator.submit(PAYLOAD, client="tester").job
+            await backend.lease(N0, 1, [])
+            hold = asyncio.ensure_future(backend.lease(N0, 0, [job.id]))
+            await asyncio.sleep(0.2)
+            assert not hold.done()
+            asked = time.monotonic()
+            assert coordinator.cancel(job.id) is True
+            reply = await hold
+            assert time.monotonic() - asked < 0.1
+            assert reply == {"jobs": [], "revoked": [job.id]}
+            # Still the node's job until it reports the cancellation.
+            assert job.state == jobmodel.RUNNING
+            await backend.report(N0, job.id,
+                                 {"state": jobmodel.CANCELLED,
+                                  "error": "cancelled mid-run"})
+            return job
 
-        monkeypatch.setattr(coordinator_module, "request_json", shed)
+        job = asyncio.run(main())
+        assert job.state == jobmodel.CANCELLED
+        assert coordinator.running == 0
 
-        async def drive():
-            with pytest.raises(NodeLost):
-                await coordinator.backend._forward(
-                    job, node, {}, time.monotonic() + 5.0)
+    def test_a_finished_worker_job_answers_the_hold(self):
+        coordinator = _coordinator()
+        backend = coordinator.backend
 
-        asyncio.run(drive())
+        async def main():
+            job = coordinator.submit(PAYLOAD, client="tester").job
+            await backend.lease(N0, 1, [])
+            # A client holds GET /v1/jobs/<id>?wait= on the coordinator.
+            hold = asyncio.ensure_future(coordinator.wait(job, 10.0))
+            await asyncio.sleep(0.05)
+            reported = time.monotonic()
+            await backend.report(N0, job.id, dict(DONE, cached=True))
+            await hold
+            assert time.monotonic() - reported < 0.1
+            return job
+
+        job = asyncio.run(main())
+        assert job.state == jobmodel.DONE
+        assert job.result == {"cells": ["remote"]}
+        counters = coordinator.registry.counters
+        assert counters["fleet_worker_cache_hits_total"] == 1
+        assert backend.nodes[N0].jobs_done == 1
+
+    def test_deadline_still_fails_the_job(self):
+        coordinator = _coordinator(job_timeout=0.2)
+        backend = coordinator.backend
+
+        async def main():
+            job = coordinator.submit(PAYLOAD, client="tester").job
+            await backend.lease(N0, 1, [])
+            backend.reap()
+            assert job.state == jobmodel.RUNNING
+            await asyncio.sleep(0.25)
+            backend.reap()
+            assert job.state == jobmodel.FAILED
+            # The node is told to stop, and its late report is stale.
+            reply = await backend.lease(N0, 0, [job.id])
+            assert reply["revoked"] == [job.id]
+            status, _body = await backend.report(N0, job.id, DONE)
+            assert status == 409
+            return job
+
+        job = asyncio.run(main())
+        assert job.error == "timeout after 0s"
+        assert coordinator.running == 0
+
+    def test_dropped_hold_is_node_loss_and_requeues(self):
+        coordinator = _coordinator()
+        backend = coordinator.backend
+
+        async def main():
+            job = coordinator.submit(PAYLOAD, client="tester").job
+            # The reply granting the job never reached the node, so its
+            # next exchange does not list the job as running.
+            await backend.lease(N0, 1, [])
+            reply = await backend.lease(N0, 0, [])
+            assert reply == {"jobs": [], "revoked": []}
+            assert job.state == jobmodel.QUEUED
+            assert _ids(await backend.lease(N1, 1, [])) == [job.id]
+            await backend.report(N1, job.id, DONE)
+            return job
+
+        job = asyncio.run(main())
+        assert job.state == jobmodel.DONE
+        assert job.attempts == 2
+        counters = coordinator.registry.counters
+        assert counters["fleet_leases_lost_total"] == 1
+        assert counters["fleet_requeues_total"] == 1
+
+
+class TestLeases:
+    def test_owner_first_then_oldest(self):
+        coordinator = _coordinator()
+        backend = coordinator.backend
+
+        async def main():
+            for node in (N0, N1):
+                await backend.lease(node, 0, [])
+            older = coordinator.submit(_owned_by(backend, N1)).job
+            newer = coordinator.submit(_owned_by(backend, N0)).job
+            # N0 skips the older job for the one it owns...
+            assert _ids(await backend.lease(N0, 1, [])) == [newer.id]
+            # ...and takes the oldest job once it owns none.
+            third = coordinator.submit(_owned_by(backend, N1, skip=1)).job
+            assert _ids(await backend.lease(N0, 2, [newer.id])) \
+                == [older.id, third.id]
+
+        asyncio.run(main())
+        assert coordinator.registry.counters["fleet_leases_total"] == 3
+        assert coordinator.registry.counters["fleet_steals_total"] == 2
+
+    def test_a_job_is_stolen_only_when_its_owner_is_busy(
+            self, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 10.0)
+        coordinator = _coordinator()
+        backend = coordinator.backend
+
+        async def main():
+            holds = {node: asyncio.ensure_future(
+                backend.lease(node, 1, [])) for node in (N0, N1)}
+            await asyncio.sleep(0.01)
+            # Both waiting: a new job goes straight to its owner.
+            mine = coordinator.submit(_owned_by(backend, N0)).job
+            assert _ids(await holds[N0]) == [mine.id]
+            assert not holds[N1].done()
+            # N0 is busy (no exchange open): N1 takes N0's next job.
+            stolen = coordinator.submit(_owned_by(backend, N0, 1)).job
+            assert _ids(await holds[N1]) == [stolen.id]
+
+        asyncio.run(main())
+        assert coordinator.registry.counters["fleet_steals_total"] == 1
+
+    def test_a_stale_report_gets_a_409(self):
+        coordinator = _coordinator()
+        backend = coordinator.backend
+
+        async def main():
+            job = coordinator.submit(PAYLOAD, client="tester").job
+            await backend.lease(N0, 1, [])
+            _silence(backend, N0)
+            backend.reap()
+            await backend.lease(N1, 1, [])
+            status, body = await backend.report(N0, job.id, DONE)
+            assert status == 409
+            assert N0 in body["error"]
+            assert job.state == jobmodel.RUNNING
+            # The stale holder is told to drop the job.
+            assert (await backend.lease(N0, 0, [job.id]))["revoked"] \
+                == [job.id]
+            status, _body = await backend.report(N1, job.id, DONE)
+            assert status == 200
+            # A record that is not terminal is no report at all.
+            status, _body = await backend.report(
+                N1, job.id, {"state": jobmodel.RUNNING})
+            assert status == 400
+            return job
+
+        job = asyncio.run(main())
+        assert job.state == jobmodel.DONE
+        assert coordinator.registry.counters[
+            "fleet_stale_reports_total"] == 1
+
+    def test_three_workers_always_take_three_rounds(self, monkeypatch):
+        """8 one-slot jobs on 3 one-slot workers: no node is handed a
+        4th job while another node's exchange is waiting for work."""
+        monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 10.0)
+        coordinator = _coordinator()
+        backend = coordinator.backend
+        nodes = (N0, N1, N2)
+        handed = {node: 0 for node in nodes}
+        real_grant = backend._grant
+
+        def grant(job, node, exchange):
+            waiting = [other.url for other in backend.nodes.values()
+                       if other is not node and other.exchange is not None
+                       and other.exchange.free > 0]
+            assert not (handed[node.url] >= 3 and waiting), \
+                f"4th job to {node.url} while {waiting} waited"
+            handed[node.url] += 1
+            real_grant(job, node, exchange)
+
+        monkeypatch.setattr(backend, "_grant", grant)
+
+        async def worker(node):
+            running = []
+
+            async def run(job_id):
+                await asyncio.sleep(0.05)  # the cell
+                await backend.report(node, job_id, DONE)
+                running.remove(job_id)
+
+            while coordinator.counts()[jobmodel.DONE] < 8:
+                reply = await backend.lease(node, 1 - len(running),
+                                            list(running))
+                for job_id in _ids(reply):
+                    running.append(job_id)
+                    asyncio.ensure_future(run(job_id))
+
+        async def main():
+            for node in nodes:
+                await backend.lease(node, 0, [])
+            began = time.monotonic()
+            workers = [asyncio.ensure_future(worker(node))
+                       for node in nodes]
+            for seed in range(8):
+                coordinator.submit(_payload(seed), client=f"c{seed}")
+            while coordinator.counts()[jobmodel.DONE] < 8:
+                assert time.monotonic() - began < 10.0
+                await asyncio.sleep(0.01)
+            await backend.stop()  # answers the exchanges still waiting
+            await asyncio.gather(*workers)
+
+        asyncio.run(main())
+        assert sorted(handed.values()) == [2, 3, 3]
+        assert sorted(node.jobs_done
+                      for node in backend.nodes.values()) == [2, 3, 3]
 
 
 class TestStoreReplay:
@@ -217,7 +423,7 @@ class TestStoreReplay:
         # A restarted coordinator - fresh object, zero workers - must
         # answer the repeat submission from disk without dispatching.
         coordinator = _coordinator(
-            workers=(), store=ResultStore(str(tmp_path), ttl_seconds=60.0))
+            store=ResultStore(str(tmp_path), ttl_seconds=60.0))
         admission = coordinator.submit(PAYLOAD, client="tester")
         assert admission.status == 200
         assert admission.cached is True
@@ -227,30 +433,28 @@ class TestStoreReplay:
 
 
 class TestMetrics:
-    def test_scrape_carries_heartbeat_and_requeue_counters(
-            self, monkeypatch):
+    def test_scrape_carries_lease_and_requeue_counters(self):
         coordinator = _coordinator(retry_budget=1)
-        visited = []
-        _stub_forward(coordinator, [
-            NodeLost("first loss"), NodeLost("second loss"),
-        ], visited)
-        _run_one(coordinator)
-
-        async def down(*_args, **_kwargs):
-            raise TransportError("connection refused")
-
-        monkeypatch.setattr(coordinator_module, "request_json", down)
         backend = coordinator.backend
-        asyncio.run(backend._probe(backend.nodes[WORKERS[0]]))
 
+        async def main():
+            coordinator.submit(PAYLOAD, client="tester")
+            for node in (N0, N1):
+                await backend.lease(node, 1, [])
+                _silence(backend, node)
+                backend.reap()
+            await backend.lease(N2, 0, [])
+
+        asyncio.run(main())
         text = prometheus_text(coordinator)
-        assert "# TYPE wsrs_fleet_heartbeats_total counter" in text
-        assert "wsrs_fleet_heartbeats_total 1" in text
-        assert "wsrs_fleet_heartbeat_misses_total 1" in text
-        assert "wsrs_fleet_node_losses_total 2" in text
+        assert "# TYPE wsrs_fleet_leases_total counter" in text
+        assert "wsrs_fleet_leases_total 2" in text
+        assert "wsrs_fleet_leases_lost_total 2" in text
         assert "wsrs_fleet_requeues_total 1" in text
+        assert "wsrs_fleet_node_deaths_total 2" in text
         assert "wsrs_fleet_jobs_failed_total 1" in text
-        assert "wsrs_fleet_workers_alive 2" in text
+        assert "wsrs_fleet_workers_total 3" in text
+        assert "wsrs_fleet_workers_alive 1" in text
         # Every sample line obeys the Prometheus text format the
         # service's /metrics tests pin.
         sample = re.compile(
@@ -258,151 +462,3 @@ class TestMetrics:
         for line in text.splitlines():
             assert line.startswith("# TYPE ") or sample.match(line), \
                 f"malformed metrics line: {line!r}"
-
-
-class FakeWorker:
-    """A worker's job API in place of ``request_json``: the forwarded
-    job runs until ``finish`` or a DELETE, and GETs hold like the real
-    server's ``?wait=``."""
-
-    def __init__(self, drop_hold_on=()):
-        self.state = jobmodel.RUNNING
-        self.changed = asyncio.Event()
-        self.calls = []
-        self.drop_hold_on = drop_hold_on
-
-    def finish(self, state):
-        self.state = state
-        self.changed.set()
-
-    async def __call__(self, base_url, method, path, payload=None,
-                       headers=None, timeout=30.0):
-        self.calls.append((base_url, method, path, time.monotonic()))
-        if method == "POST":
-            return 202, {}, {"id": "r1", "state": jobmodel.RUNNING}
-        if method == "DELETE":
-            self.finish(jobmodel.CANCELLED)
-            return 200, {}, {"id": "r1", "cancelled": True}
-        if self.state == jobmodel.RUNNING:
-            if base_url in self.drop_hold_on:
-                await asyncio.sleep(0.05)
-                raise TransportError("peer hung up mid-response")
-            wait = float(path.partition("?wait=")[2])
-            try:
-                await asyncio.wait_for(self.changed.wait(), wait)
-            except asyncio.TimeoutError:
-                pass
-        record = {"id": "r1", "state": self.state}
-        if self.state == jobmodel.DONE:
-            record["result"] = {"cells": ["remote"]}
-        return 200, {}, record
-
-    def holds(self):
-        return [float(path.partition("?wait=")[2])
-                for _url, method, path, _at in self.calls
-                if method == "GET"]
-
-
-def _drive(coordinator, scenario):
-    async def main():
-        admission = coordinator.submit(PAYLOAD, client="tester")
-        assert admission.status == 202
-        await scenario(admission.job)
-        await asyncio.gather(*coordinator.backend._tasks)
-        return admission.job
-
-    return asyncio.run(main())
-
-
-class TestHeldForwarding:
-    def test_cancel_reaches_the_worker_within_100ms_of_a_hold(
-            self, monkeypatch):
-        coordinator = _coordinator(forward_timeout=10.0)
-        worker = FakeWorker()
-        monkeypatch.setattr(coordinator_module, "request_json", worker)
-        asked = []
-
-        async def scenario(job):
-            await asyncio.sleep(0.3)   # the hold is open by now
-            assert [call[1] for call in worker.calls] == ["POST", "GET"]
-            asked.append(time.monotonic())
-            assert coordinator.cancel(job.id) is True
-
-        job = _drive(coordinator, scenario)
-        (delete_at,) = [at for _url, method, _path, at in worker.calls
-                        if method == "DELETE"]
-        assert delete_at - asked[0] < 0.1
-        assert job.state == jobmodel.CANCELLED
-        # Holds never outlast half the per-request timeout.
-        assert max(worker.holds()) <= 5.0
-
-    def test_a_finished_worker_job_answers_the_hold(self, monkeypatch):
-        coordinator = _coordinator()
-        worker = FakeWorker()
-        monkeypatch.setattr(coordinator_module, "request_json", worker)
-
-        async def scenario(_job):
-            await asyncio.sleep(0.2)
-            worker.finish(jobmodel.DONE)
-
-        job = _drive(coordinator, scenario)
-        assert job.state == jobmodel.DONE
-        assert job.result == {"cells": ["remote"]}
-        assert len(worker.holds()) == 1
-
-    def test_deadline_still_fails_the_job(self, monkeypatch):
-        coordinator = Scheduler(
-            SchedulerConfig(job_timeout=0.4),
-            backend=FleetCoordinator(FleetConfig(), workers=WORKERS))
-        worker = FakeWorker()
-        monkeypatch.setattr(coordinator_module, "request_json", worker)
-        began = time.monotonic()
-
-        async def scenario(_job):
-            pass
-
-        job = _drive(coordinator, scenario)
-        assert 0.4 <= time.monotonic() - began < 2.0
-        assert job.state == jobmodel.FAILED
-        assert "timeout after" in job.error
-        assert all(hold <= 0.4 for hold in worker.holds())
-        assert worker.calls[-1][1] == "DELETE"  # the node is told too
-
-    def test_dropped_hold_is_node_loss_and_requeues(self, monkeypatch):
-        coordinator = _coordinator()
-        backend = coordinator.backend
-        first = backend.route(
-            jobmodel.job_key(jobmodel.parse_request(PAYLOAD)))
-        worker = FakeWorker(drop_hold_on=(first,))
-        monkeypatch.setattr(coordinator_module, "request_json", worker)
-
-        async def scenario(_job):
-            await asyncio.sleep(0.3)
-            worker.finish(jobmodel.DONE)
-
-        job = _drive(coordinator, scenario)
-        assert job.state == jobmodel.DONE
-        assert job.attempts == 2
-        assert any("requeued" in note for note in job.notes)
-        assert {call[0] for call in worker.calls} == set(WORKERS)
-        counters = coordinator.registry.counters
-        assert counters["fleet_node_losses_total"] == 1
-        assert counters["fleet_requeues_total"] == 1
-
-    def test_dropped_hold_raises_node_lost(self, monkeypatch):
-        coordinator = _coordinator()
-        backend = coordinator.backend
-        node = backend.nodes[WORKERS[0]]
-        monkeypatch.setattr(coordinator_module, "request_json",
-                            FakeWorker(drop_hold_on=(node.url,)))
-        job = coordinator._attach(
-            jobmodel.parse_request(PAYLOAD), "deadbeef", "tester")
-        coordinator._queued += 1
-
-        async def drive():
-            with pytest.raises(NodeLost, match="mid-hold"):
-                await backend._forward_and_wait(
-                    job, node, time.monotonic() + 5.0)
-
-        asyncio.run(drive())
-        assert node.outstanding == 0

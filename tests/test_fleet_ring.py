@@ -1,10 +1,8 @@
 """Consistent-hash ring properties (repro.fleet.ring).
 
-The routing contract the fleet rests on: ownership is deterministic
-and process-stable, membership changes move *only* the key ranges
-adjacent to the changed node, and the secondary owner of a key is
-exactly the node that inherits it when the primary leaves - which is
-what makes spill routing and node-loss requeue land on the same node.
+The affinity contract owner-first leasing rests on: ownership is
+deterministic and process-stable, and membership changes move *only*
+the key ranges adjacent to the changed node.
 """
 
 import pytest
@@ -39,7 +37,6 @@ class TestMembership:
         ring.remove("n0")
         assert len(ring) == 0
         assert ring.node_for("abc") is None
-        assert ring.owners("abc", 2) == []
 
     def test_vnodes_validation(self):
         with pytest.raises(ValueError):
@@ -56,15 +53,6 @@ class TestRouting:
         first = HashRing(["n0", "n1", "n2"])
         second = HashRing(["n2", "n0", "n1"])  # insertion order is moot
         assert first.assignments(KEYS) == second.assignments(KEYS)
-
-    def test_owners_are_distinct_and_exclude_works(self):
-        ring = HashRing(["n0", "n1", "n2"])
-        for key in KEYS[:50]:
-            owners = ring.owners(key, 2)
-            assert len(owners) == 2
-            assert owners[0] != owners[1]
-            without = ring.owners(key, 1, exclude=[owners[0]])
-            assert without == [owners[1]]
 
     def test_every_node_takes_a_fair_share(self):
         ring = HashRing(["n0", "n1", "n2"])
@@ -110,14 +98,3 @@ class TestRebalance:
         ring.remove("n2")
         ring.add("n2")
         assert ring.assignments(KEYS) == before
-
-    def test_secondary_owner_inherits_on_node_loss(self):
-        # The spill target and the requeue target must be the same
-        # node: owners()[1] is exactly who owns the key once the
-        # primary is gone.
-        ring = HashRing(["n0", "n1", "n2"])
-        for key in KEYS[:100]:
-            primary, secondary = ring.owners(key, 2)
-            survivor = HashRing(["n0", "n1", "n2"])
-            survivor.remove(primary)
-            assert survivor.node_for(key) == secondary

@@ -4,9 +4,9 @@ Every admission decision lives in the scheduler core, so the local
 process-pool backend and the fleet's ring backend must answer the same
 submissions the same way: the happy path, in-flight dedup, the
 result-store short circuit, 400 on invalid payloads, quota and backlog
-sheds with a ``Retry-After`` hint, and drain.  The ring backend runs
-with its worker I/O faked (``_forward_and_wait``), as in
-``tests/test_fleet_coordinator.py``.
+sheds with a ``Retry-After`` hint, and drain.  The fleet backend runs
+with one in-process fake worker node calling its ``lease`` and
+``report`` entry points, as ``tests/test_fleet_coordinator.py`` does.
 
 Also here: the HTTP front mounts the fleet routes only over a ring, and
 the store's bulk eviction sweep never blocks the event loop.
@@ -18,8 +18,10 @@ import time
 
 import pytest
 
+import repro.fleet.coordinator as coordinator_module
 from repro.experiments.runner import execute
-from repro.fleet.coordinator import FleetConfig, FleetCoordinator
+from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.netio import request_json
 from repro.service import jobs as jobmodel
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import Scheduler, SchedulerConfig
@@ -51,20 +53,36 @@ def _pool(store, **config):
 
 
 def _ring(store, **config):
-    # A localhost address that refuses connections, probed rarely: the
-    # heartbeat task runs but never touches the faked jobs.
-    backend = FleetCoordinator(FleetConfig(heartbeat_interval=60.0),
-                               workers=["http://127.0.0.1:9"])
+    # One fake one-slot worker node, started with the backend: it leases
+    # each job, "runs" it for 0.3 s and reports it done.
+    backend = FleetCoordinator()
     scheduler = Scheduler(SchedulerConfig(**config), store=store,
                           backend=backend)
+    node = "http://127.0.0.1:9"
+    running = []
 
-    async def forward_and_wait(job, node, deadline):
-        scheduler._begin(job)
+    async def run(grant):
         await asyncio.sleep(0.3)
-        return {"id": "remote", "state": jobmodel.DONE,
-                "result": {"cells": [{"key": job.key}]}}
+        key = jobmodel.job_key(jobmodel.parse_request(grant["request"]))
+        await backend.report(node, grant["id"], {
+            "state": jobmodel.DONE, "result": {"cells": [{"key": key}]}})
+        running.remove(grant["id"])
 
-    backend._forward_and_wait = forward_and_wait
+    async def worker():
+        while not backend._stopped:
+            reply = await backend.lease(node, 1 - len(running),
+                                        list(running))
+            for grant in reply["jobs"]:
+                running.append(grant["id"])
+                asyncio.ensure_future(run(grant))
+
+    start = backend.start
+
+    async def start_with_worker():
+        await start()
+        asyncio.ensure_future(worker())
+
+    backend.start = start_with_worker
     return scheduler
 
 
@@ -200,23 +218,57 @@ class TestAdmissionContract:
 
 class TestFleetRoutes:
     @pytest.mark.parametrize("method,path", [
-        ("GET", "/v1/fleet"), ("POST", "/v1/fleet/register")])
+        ("GET", "/v1/fleet"), ("POST", "/v1/fleet/lease")])
     def test_plain_service_has_no_fleet_routes(self, method, path):
         server = ServiceServer(Scheduler(SchedulerConfig(workers=1)))
         status, _record, _headers = asyncio.run(server.route(
-            method, path, {}, b'{"url": "http://127.0.0.1:9"}'))
+            method, path, {},
+            b'{"node": "http://127.0.0.1:9", "free": 0, "running": []}'))
         assert status == 404
 
-    def test_ring_front_serves_fleet_routes(self):
+    def test_ring_front_serves_fleet_routes(self, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 0.01)
         server = ServiceServer(_ring(None))
-        status, record, _headers = asyncio.run(server.route(
-            "POST", "/v1/fleet/register", {},
-            b'{"url": "http://127.0.0.1:10"}'))
+
+        def route(method, path, body=b""):
+            return asyncio.run(server.route(method, path, {}, body))
+
+        status, record, _headers = route(
+            "POST", "/v1/fleet/lease",
+            b'{"node": "http://127.0.0.1:10", "free": 1, "running": []}')
         assert status == 200
-        assert record["registered"] == "http://127.0.0.1:10"
-        status, record, _headers = asyncio.run(
-            server.route("GET", "/v1/fleet", {}, b""))
-        assert status == 200 and record["alive"] == 2
+        assert record == {"jobs": [], "revoked": []}
+        status, record, _headers = route("GET", "/v1/fleet")
+        assert status == 200 and record["alive"] == 1
+        assert record["workers"][0]["url"] == "http://127.0.0.1:10"
+        for body in (b'{"free": 1, "running": []}',
+                     b'{"node": "n", "free": -1, "running": []}',
+                     b'{"node": "n", "free": 1, "running": [3]}',
+                     b"[]", b"{"):
+            assert route("POST", "/v1/fleet/lease", body)[0] == 400
+        status, record, _headers = route(
+            "POST", "/v1/fleet/leases/j000000000000",
+            b'{"node": "http://127.0.0.1:10", '
+            b'"record": {"state": "done", "result": {}}}')
+        assert status == 409
+        assert route("GET", "/v1/fleet/lease")[0] == 405
+
+    def test_a_report_may_carry_a_large_result(self):
+        async def main():
+            server = ServiceServer(_ring(None))
+            await server.start()
+            try:
+                record = {"state": "done",
+                          "result": {"cells": ["x" * 200_000]}}
+                return await request_json(
+                    server.url, "POST", "/v1/fleet/leases/j000000000000",
+                    payload={"node": "http://127.0.0.1:10",
+                             "record": record})
+            finally:
+                await server.stop()
+
+        status, _headers, _reply = asyncio.run(main())
+        assert status == 409  # read whole, and refused: no such lease
 
 
 class _BlockingStore(ResultStore):

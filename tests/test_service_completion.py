@@ -289,6 +289,30 @@ class TestRetiredRecords:
 
         _serve(scenario)
 
+    def test_without_a_store_only_recent_finished_jobs_are_kept(
+            self, monkeypatch):
+        import repro.service.scheduler as scheduler_module
+
+        monkeypatch.setattr(scheduler_module, "FINISHED_JOBS_KEPT", 2)
+
+        async def scenario(scheduler, server):
+            jobs = [scheduler.submit(dict(PAYLOAD, seed=seed)).job
+                    for seed in range(4)]
+            live = jobs.pop()
+            for job in jobs:
+                scheduler._finish(job, jobmodel.DONE, result=RESULT,
+                                  queued=True)
+            # The oldest finished job is forgotten, the live one never.
+            assert [job.id in scheduler.jobs for job in jobs] \
+                == [False, True, True]
+            assert scheduler.get(live.id) is live
+            status, _record = await _get(server, f"/v1/jobs/{jobs[0].id}")
+            assert status == 404
+            status, record = await _get(server, f"/v1/jobs/{jobs[1].id}")
+            assert status == 200 and record["result"] == RESULT
+
+        _serve(scenario)
+
     def test_ttl_sweep_removes_records(self, tmp_path):
         now = [1000.0]
         store = ResultStore(str(tmp_path), ttl_seconds=60.0,
