@@ -777,10 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
     py.add_argument("--fleet", action="store_true",
                     help="fleet mode: run the job matrix against local "
                          "fleets of 1..N worker processes, verify "
-                         "bit-identical cells, restart the coordinator "
-                         "to measure routing-cache affinity, SIGKILL one "
-                         "lease holder mid-run to prove requeue, and "
-                         "SIGTERM one to prove drain")
+                         "bit-identical cells, SIGKILL one lease holder "
+                         "mid-run to prove requeue, and SIGTERM one to "
+                         "prove drain")
     py.add_argument("--clients", type=int, default=4)
     py.add_argument("--benchmarks", nargs="*", default=None,
                     metavar="NAME")
@@ -866,8 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     pfc = fleet_sub.add_parser(
         "serve-coordinator",
         help="run the fleet coordinator: client-facing /v1/jobs front "
-             "door whose backlog workers lease jobs from, owner-first "
-             "by consistent hash; expired leases are requeued")
+             "door whose backlog workers lease jobs from, oldest "
+             "first; expired leases are requeued")
     pfc.add_argument("--port", type=int, default=8788,
                      help="listen port (0 = OS-assigned, printed on "
                           "start)")
@@ -884,8 +883,8 @@ def build_parser() -> argparse.ArgumentParser:
              "on a fixed port, leasing jobs from the coordinator")
     pfw.add_argument("--port", type=int, required=True,
                      help="listen port; http://HOST:PORT is the node's "
-                          "name on the coordinator's ring, so a "
-                          "restarted node reclaims its keys")
+                          "name on the coordinator, so a restarted "
+                          "node is revived, not registered anew")
     pfw.add_argument("--coordinator", default="http://127.0.0.1:8788",
                      metavar="URL",
                      help="coordinator to lease jobs from")
@@ -895,8 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheduler_args(
         pfw, backlog=64,
         retry_help="requeues after pool-worker crashes before failing",
-        store_help="worker-local result-store directory (the "
-                   "routing-affinity cache)")
+        store_help="worker-local result-store directory (answers "
+                   "only the jobs leased to this node)")
     pfw.add_argument("--cell-delay-ms", type=float, default=0.0,
                      metavar="MS",
                      help="per-cell service-time floor (the scaling "

@@ -14,18 +14,16 @@ pull them.
   its leases, and is answered as soon as there is a job for it, one of
   its jobs was cancelled, or :data:`LEASE_HOLD_S` passes.  A worker asks
   for at most its free slots, so it never queues fleet work.
-* **Affinity as a preference.**  A worker is handed the oldest queued
-  job whose consistent-hash owner (:class:`repro.fleet.ring.HashRing`,
-  keyed by the job's idempotency key) it is, failing that the oldest
-  queued job.  A newly admitted job goes straight to its owner when the
-  owner is waiting, so another node only takes a job whose owner is
-  busy, and repeat work lands where its cached result lives.
+* **Oldest first.**  A worker is handed the oldest queued jobs, and a
+  newly admitted job goes to the first node waiting for work.
+  Repeats never reach the backlog: the coordinator's store answers
+  them at admission.
 * **Reports.**  The worker posts each terminal record to
   ``POST /v1/fleet/leases/<id>``.  A report from a node that does not
   hold the lease (it expired, or the coordinator restarted) is a 409
   and is dropped.
 * **Expiry and requeue.**  A node silent for longer than
-  :data:`LEASE_TIMEOUT_S` leaves the ring, and its jobs are requeued by
+  :data:`LEASE_TIMEOUT_S` is declared dead, and its jobs are requeued by
   the core's :meth:`~repro.service.scheduler.Scheduler._requeue` - the
   same bounded ``retry_budget`` the pool backend applies to
   worker-process crashes.  So is a leased job its worker no longer
@@ -56,7 +54,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.fleet.ring import HashRing
 from repro.service import jobs as jobmodel
 from repro.service.jobs import Job
 from repro.service.scheduler import Backend
@@ -70,8 +67,8 @@ COORDINATOR_QUOTA = 32
 #: Longest hold of one lease exchange (seconds).  A worker renews its
 #: leases at least this often.
 LEASE_HOLD_S = 0.5
-#: A node silent for longer than this loses its leases and leaves the
-#: ring (seconds): three missed exchanges.
+#: A node silent for longer than this loses its leases and is declared
+#: dead (seconds): three missed exchanges.
 LEASE_TIMEOUT_S = 1.5
 
 
@@ -113,7 +110,6 @@ class FleetCoordinator(Backend):
 
     def __init__(self) -> None:
         self.nodes: Dict[str, WorkerNode] = {}
-        self.ring = HashRing()
         #: Queued jobs, oldest first (cancelled ones until skipped).
         self._backlog: List[Job] = []
         self._reaper: Optional["asyncio.Task"] = None
@@ -127,18 +123,15 @@ class FleetCoordinator(Backend):
         node = self.nodes.get(url)
         if node is None:
             node = self.nodes[url] = WorkerNode(url=url)
-            self.ring.add(url)
             self.registry.count("fleet_nodes_registered_total")
         elif not node.alive:
             node.alive = True
-            self.ring.add(url)
             self.registry.count("fleet_node_revivals_total")
         node.seen = time.monotonic()
         return node
 
     def _expire(self, node: WorkerNode) -> None:
         node.alive = False
-        self.ring.remove(node.url)
         self.registry.count("fleet_node_deaths_total")
         for job in list(node.leases.values()):
             self._lose(job, node, "lease expired")
@@ -219,7 +212,7 @@ class FleetCoordinator(Backend):
             self._lose(job, node, "not running on its node")
         exchange = _Exchange(free)
         while len(exchange.granted) < free and self._open():
-            job = self._take(node)
+            job = self._take()
             if job is None:
                 break
             self._grant(job, node, exchange)
@@ -272,24 +265,20 @@ class FleetCoordinator(Backend):
                       if job_id not in node.leases
                       or node.leases[job_id].cancel_requested)
 
-    def _take(self, node: WorkerNode) -> Optional[Job]:
-        """The oldest queued job ``node`` owns, else the oldest one."""
+    def _take(self) -> Optional[Job]:
+        """The oldest queued job, if any."""
         self._backlog = [job for job in self._backlog
                          if job.state == jobmodel.QUEUED]
-        for job in self._backlog:
-            if self.ring.node_for(job.key) == node.url:
-                return job
         return self._backlog[0] if self._backlog else None
 
     def _offer(self, job: Job) -> None:
-        """Hand a newly queued job to a held exchange: its owner's when
-        the owner is waiting, else any waiting node's."""
+        """Hand a newly queued job to the first node, in registration
+        order, whose held exchange has a free slot."""
         waiting = [node for node in self.nodes.values()
                    if node.exchange is not None and node.exchange.free > 0]
         if not waiting or not self._open():
             return
-        owner = self.nodes.get(self.ring.node_for(job.key) or "")
-        node = owner if owner in waiting else waiting[0]
+        node = waiting[0]
         self._grant(job, node, node.exchange)
         self._wake(node)
 
@@ -303,8 +292,6 @@ class FleetCoordinator(Backend):
         node.leases[job.id] = job
         exchange.granted.append(job)
         self.registry.count("fleet_leases_total")
-        if self.ring.node_for(job.key) != node.url:
-            self.registry.count("fleet_steals_total")
 
     def _wake(self, node: WorkerNode) -> None:
         """Answer the node's held exchange now."""
@@ -333,7 +320,7 @@ class FleetCoordinator(Backend):
         for job in self._backlog:
             if job.state == jobmodel.QUEUED and job.submitted_at < cutoff:
                 self.core._finish(job, jobmodel.FAILED, queued=True,
-                                  error=error if self.ring.nodes else
+                                  error=error if self.alive_workers else
                                   f"{error} with no live worker nodes")
         for node in self.nodes.values():
             for job in [job for job in node.leases.values()
@@ -367,8 +354,6 @@ class FleetCoordinator(Backend):
                                         f"without a result payload")
                 return
             if record.get("cached"):
-                # The node answered from its local cache: the win
-                # owner-first leasing exists to produce.
                 self.registry.count("fleet_worker_cache_hits_total")
             node.jobs_done += 1
             self.core._finish(job, jobmodel.DONE, result=result)

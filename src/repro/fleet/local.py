@@ -9,40 +9,50 @@ provides it:
   in-process on a daemon thread (:class:`repro.service.server
   .EmbeddedServer`), so tests can reach into its state and metrics
   directly;
-* each worker is a separate **spawn**-context process running
-  :func:`repro.fleet.worker.worker_main` (spawn, not fork: the parent
-  holds live asyncio threads, and forking a threaded process is exactly
-  the hazard the repo's async lint exists to catch), with its own store
-  directory, a fixed, pre-picked port, and its own process group;
+* each worker is the ``wsrs fleet serve-worker`` daemon, started as a
+  fresh interpreter (``python -m repro``, never a fork of the parent,
+  which holds live asyncio threads) in its own session, hence its own
+  process group, with its own store directory and a fixed, pre-picked
+  port;
 * workers start leasing at once, and :meth:`LocalFleet.start` blocks
   until the coordinator reports every node alive;
 * :meth:`LocalFleet.kill_holder` kills a worker while the coordinator
   shows it holding a lease: SIGTERM drains it, SIGKILL takes down its
   whole process group, pool processes included, as a host crash would.
+
+A SIGKILLed worker leaves no named semaphore behind: each worker is
+its own interpreter with its own resource tracker, and its pool's
+default start method (fork on Linux, as on CI's Python 3.10 and 3.12)
+unlinks each semaphore as soon as it is created.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import time
 from typing import Callable, List, Optional
 
+import repro
 from repro.fleet.coordinator import (
     COORDINATOR_BACKLOG,
     COORDINATOR_QUOTA,
     FleetCoordinator,
 )
-from repro.fleet.worker import worker_main
 from repro.service.client import ServiceClient
 from repro.service.server import EmbeddedServer, build_scheduler
 
 #: How long a frozen worker's in-flight reports get to land before the
 #: coordinator's view of its leases is trusted (seconds).
 SETTLE_S = 0.1
+#: The directory that holds the ``repro`` package, put on the workers'
+#: ``PYTHONPATH`` so they import the same tree as this process.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
+    repro.__file__)))
 
 
 def _free_port(host: str = "127.0.0.1") -> int:
@@ -50,6 +60,14 @@ def _free_port(host: str = "127.0.0.1") -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
         probe.bind((host, 0))
         return probe.getsockname()[1]
+
+
+def _join(process: subprocess.Popen, timeout: float) -> None:
+    """Wait up to ``timeout`` seconds for ``process`` to exit."""
+    try:
+        process.wait(timeout)
+    except subprocess.TimeoutExpired:
+        pass
 
 
 def _signal_group(pgid: int, signum: int) -> None:
@@ -83,7 +101,7 @@ class LocalFleet:
         self.worker_urls: List[str] = []
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._embedded: Optional[EmbeddedServer] = None
-        self._processes: List[multiprocessing.process.BaseProcess] = []
+        self._processes: List[subprocess.Popen] = []
 
     # -- lifecycle -------------------------------------------------------
 
@@ -100,20 +118,27 @@ class LocalFleet:
         """Boot coordinator + workers; returns the coordinator URL."""
         self._tmp = tempfile.TemporaryDirectory(prefix="wsrs-fleet-")
         self._boot_coordinator(f"{self._tmp.name}/coordinator")
-        context = multiprocessing.get_context("spawn")
         ports = [_free_port(self.host) for _ in range(self.worker_count)]
         self.worker_urls = [f"http://{self.host}:{port}"
                             for port in ports]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
+            None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
         for index, port in enumerate(ports):
-            process = context.Process(
-                target=worker_main,
-                args=(self.host, port, self.url, self.server_workers,
-                      f"{self._tmp.name}/worker-{index}",
-                      self.worker_drain_timeout, self.cell_delay_ms),
-                name=f"wsrs-fleet-worker-{index}", daemon=False)
-            process.start()
-            self._processes.append(process)
-        self._await_alive(self.worker_count, timeout)
+            self._processes.append(subprocess.Popen(
+                [sys.executable, "-m", "repro", "fleet", "serve-worker",
+                 "--host", self.host, "--port", str(port),
+                 "--coordinator", self.url,
+                 "--workers", str(self.server_workers),
+                 "--store", f"{self._tmp.name}/worker-{index}",
+                 "--drain-timeout", str(self.worker_drain_timeout),
+                 "--cell-delay-ms", str(self.cell_delay_ms)],
+                env=env, stdout=subprocess.DEVNULL,
+                start_new_session=True))
+        try:
+            self._await_alive(self.worker_count, timeout)
+        except BaseException:
+            self.stop()
+            raise
         self.announce(f"fleet: coordinator at {self.url}, "
                       f"{self.worker_count} worker(s) alive")
         return self.url
@@ -166,8 +191,8 @@ class LocalFleet:
                         os.kill(pgid, signum)
                 _signal_group(pgid, signal.SIGCONT)
                 if held:
-                    self._processes[index].join(
-                        self.worker_drain_timeout + 10.0)
+                    _join(self._processes[index],
+                          self.worker_drain_timeout + 10.0)
                     self.announce(f"fleet: killed worker {index} "
                                   f"({node['url']}) with "
                                   f"{signal.Signals(signum).name}")
@@ -182,8 +207,8 @@ class LocalFleet:
 
         ``fresh_store=False`` models a restart that *replays* the
         authoritative store; ``fresh_store=True`` wipes coordinator
-        state so repeat submissions must be answered by worker-local
-        caches via owner-first leasing (the routing-cache benchmark).
+        state, so a repeat submission is answered only by the local
+        cache of whichever worker it lands on.
         """
         assert self._tmp is not None and self._embedded is not None
         port = self._embedded.port
@@ -192,7 +217,8 @@ class LocalFleet:
                      f"{time.monotonic_ns()}"
                      if fresh_store else f"{self._tmp.name}/coordinator")
         self._boot_coordinator(store_dir, port)
-        live = sum(1 for process in self._processes if process.is_alive())
+        live = sum(1 for process in self._processes
+                   if process.poll() is None)
         self._await_alive(live, 30.0)
         self.announce(f"fleet: coordinator restarted at {self.url} "
                       f"({'fresh' if fresh_store else 'replayed'} store)")
@@ -209,12 +235,12 @@ class LocalFleet:
         """Drain every worker, stop the coordinator, and kill whatever
         is left in the workers' process groups."""
         for process in self._processes:
-            if process.is_alive():
+            if process.poll() is None:
                 process.terminate()
         for process in self._processes:
-            process.join(self.worker_drain_timeout + 10.0)
+            _join(process, self.worker_drain_timeout + 10.0)
             _signal_group(process.pid, signal.SIGKILL)
-            process.join(5.0)
+            _join(process, 5.0)
         self._processes = []
         if self._embedded is not None:
             self._embedded.stop()

@@ -5,7 +5,7 @@ worker-local result store, the full ``/v1/jobs`` + ``/healthz`` +
 ``/metrics`` surface - started on a fixed port by
 :func:`repro.service.server.serve`, plus one :func:`lease_loop` task.
 The loop holds a lease exchange open on the coordinator (its URL is the
-node's name on the ring), submits every job it is handed to the local
+node's name there), submits every job it is handed to the local
 scheduler, and posts each terminal record back.  It asks for no more
 jobs than its pool has free slots, so fleet work never queues here.
 
@@ -13,16 +13,12 @@ SIGTERM drains the node: the loop stops asking for work, keeps its
 leases renewed while the jobs it holds finish, reports them, and only
 then does the service stack stop.  A crash sends nothing; the
 coordinator requeues the node's jobs when its leases expire.
-
-:func:`worker_main` is the module-level (hence picklable) target the
-local fleet harness hands to ``multiprocessing`` spawn contexts.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import os
 import time
 from typing import Callable, Dict, Optional, Set
 
@@ -31,7 +27,7 @@ from repro.fleet.coordinator import LEASE_HOLD_S
 from repro.fleet.netio import TransportError, request_json
 from repro.service.jobs import Job
 from repro.service.scheduler import Scheduler
-from repro.service.server import build_scheduler, serve
+from repro.service.server import serve
 
 #: Pause before asking an unreachable coordinator again (seconds).
 RETRY_PAUSE_S = 0.25
@@ -147,19 +143,3 @@ def serve_worker(scheduler: Scheduler, host: str = "127.0.0.1",
                                       coordinator_url)
     return serve(host=host, port=port, scheduler=scheduler,
                  announce=announce, companion=companion)
-
-
-def worker_main(host: str, port: int, coordinator_url: Optional[str],
-                workers: int, store_dir: Optional[str],
-                drain_timeout: float = 30.0,
-                cell_delay_ms: float = 0.0) -> int:
-    """Picklable spawn target for local fleet worker processes.  The
-    worker leads its own process group, so its pool processes die with
-    it when the harness kills the group."""
-    os.setsid()
-    scheduler = build_scheduler(workers=workers, store_dir=store_dir,
-                                drain_timeout=drain_timeout,
-                                cell_runner=delay_runner(cell_delay_ms))
-    return serve_worker(scheduler, host=host, port=port,
-                        coordinator_url=coordinator_url,
-                        announce=lambda _message: None)

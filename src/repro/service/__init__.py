@@ -3,7 +3,7 @@
 The paper's evaluation is hundreds of (configuration, benchmark) cells;
 the ROADMAP's north star is a system serving that fan-out to many
 concurrent clients.  This package turns the one-shot CLI entry points
-into a long-lived, stdlib-only service - and, with the ring backend of
+into a long-lived, stdlib-only service - and, with the lease backend of
 :mod:`repro.fleet.coordinator` in place of the process pool, into the
 fleet coordinator:
 
@@ -23,7 +23,7 @@ fleet coordinator:
 :mod:`server`      asyncio HTTP server: ``POST/GET/DELETE /v1/jobs``,
                    ``/healthz``, Prometheus-style ``/metrics`` fed from
                    the :class:`~repro.obs.registry.ObsRegistry`,
-                   plus ``/v1/fleet`` routes over a ring backend
+                   plus ``/v1/fleet`` routes over a lease backend
 :mod:`client`      retrying HTTP client - exponential backoff with
                    jitter, ``Retry-After`` honoured on load shedding
 :mod:`loadtest`    multi-client load harness: throughput/latency

@@ -293,10 +293,10 @@ def canonical_form(request: JobRequest) -> Dict:
 def request_payload(request: JobRequest) -> Dict:
     """Reconstruct the JSON submission body of a validated request.
 
-    A fleet coordinator forwards this *canonical* form, so the worker
-    derives the same idempotency key the coordinator routed on - which
-    is what makes the worker's local result cache line up with ring
-    ownership.
+    A fleet coordinator leases jobs out in this *canonical* form, so a
+    worker derives the same idempotency key the coordinator admitted
+    the job under, and its local result cache answers a repeat that
+    lands on it.
     """
     if request.kind == "explore":
         assert request.lattice is not None

@@ -25,19 +25,12 @@ With ``--fleet`` (:func:`run_fleet` -> ``BENCH_fleet.json``) the same
 harness answers the extra questions a *fleet* raises:
 
 * **Does the fleet actually scale?**  The same job matrix runs against
-  local fleets of 1..N worker processes (real sockets, real spawn-ed
-  nodes).  Every fleet must return cells **bit-identical** to a direct
+  local fleets of 1..N worker processes (real sockets, real worker
+  daemons).  Every fleet must return cells **bit-identical** to a direct
   :func:`repro.experiments.runner.run_matrix` execution, and the
   scaling record keeps throughput, p95 latency, shed counts and the
   jobs each node ran per node count.  The acceptance gate: aggregate
   throughput at the largest fleet >= 2x the 1-worker baseline.
-* **Does owner-first leasing pay?**  After the compute pass, the
-  coordinator is restarted with a *fresh* store - so nothing
-  short-circuits coordinator-side - and the matrix is re-submitted.
-  Each key is offered to its consistent-hash owner first; the fraction
-  the workers answer from their local caches is the *routing-cache hit
-  rate* (below 1.0 wherever a job ran on a non-owner in the compute
-  pass, or its owner was busy).
 * **Does the fleet survive a node loss?**  The kill pass submits the
   matrix to a fresh fleet and SIGKILLs a worker while it holds a lease;
   every job must complete - the lost lease requeued within the retry
@@ -399,38 +392,20 @@ def run_fleet(workers: int = 3, clients: int = 8,
                 compute["jobs_per_node"] = [
                     done - before.get(url, 0)
                     for url, done in sorted(_jobs_per_node(fleet).items())]
-                compute_identical = _cells_of(records) == direct
 
-                # Routing-affinity pass: a fresh coordinator cannot
-                # short-circuit, so repeats must ride the ring back to
-                # the node holding each cached result.
-                fleet.restart_coordinator(fresh_store=True)
-                records, routed = _drive_pass(
-                    fleet.url, requests, clients, job_timeout, seed + 1)
-                routed_identical = _cells_of(records) == direct
-                metrics_text = ServiceClient(
-                    fleet.url, client_id="fleet-bench").metrics()
-                worker_hits = _scrape_counter(
-                    metrics_text, "wsrs_fleet_worker_cache_hits_total")
-                routed["routing_cache_hits"] = worker_hits
-                routed["routing_cache_hit_rate"] = round(
-                    worker_hits / len(requests), 4) if requests else 0.0
-
-                point = {
-                    "workers": count,
-                    "server_workers": server_workers,
-                    "compute": compute,
-                    "routed": routed,
-                    "identical": compute_identical and routed_identical,
-                }
-                identical = identical and point["identical"]
-                scaling.append(point)
-                announce(
-                    f"fleet bench: {count} worker(s) - "
-                    f"{compute['throughput_jobs_per_s']} jobs/s, p95 "
-                    f"{compute['latency_ms']['p95']} ms, jobs per node "
-                    f"{compute['jobs_per_node']}, routing hit rate "
-                    f"{routed['routing_cache_hit_rate']}")
+            point = {
+                "workers": count,
+                "server_workers": server_workers,
+                "compute": compute,
+                "identical": _cells_of(records) == direct,
+            }
+            identical = identical and point["identical"]
+            scaling.append(point)
+            announce(
+                f"fleet bench: {count} worker(s) - "
+                f"{compute['throughput_jobs_per_s']} jobs/s, p95 "
+                f"{compute['latency_ms']['p95']} ms, jobs per node "
+                f"{compute['jobs_per_node']}")
 
         base = scaling[0]["compute"]["throughput_jobs_per_s"]
         peak = scaling[-1]["compute"]["throughput_jobs_per_s"]

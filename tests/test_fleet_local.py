@@ -1,8 +1,8 @@
 """End-to-end fleet failure modes: real processes, sockets, signals.
 
 One :class:`repro.fleet.local.LocalFleet` (coordinator thread + three
-spawn-context worker processes) serves the full failure-mode story in
-a single test, since booting the fleet is the expensive part:
+``wsrs fleet serve-worker`` daemons) serves the full failure-mode story
+in a single test, since booting the fleet is the expensive part:
 
 1. a worker SIGTERMed while it holds a lease drains: it reports what
    it holds, so nothing is requeued;
@@ -15,11 +15,17 @@ a single test, since booting the fleet is the expensive part:
 4. a restart on a *fresh* store must still answer repeats without
    recompute, from the surviving worker's local cache;
 5. once the fleet stops, no process of any worker's group is left.
+
+A second, two-worker fleet checks that a SIGKILLed worker leaves no
+named semaphore behind in ``/dev/shm``.
 """
 
 import glob
+import os
 import signal
 import time
+
+import pytest
 
 from repro.fleet.local import LocalFleet
 from repro.service.client import ServiceClient
@@ -109,8 +115,8 @@ def test_fleet_survives_node_loss_and_replays_results(
                 break
             time.sleep(0.05)
         assert fleet.coordinator.fleet_summary()["alive"] == 1
-        assert victim not in fleet.coordinator.ring
-        assert drained not in fleet.coordinator.ring
+        assert victim not in fleet.coordinator.alive_workers
+        assert drained not in fleet.coordinator.alive_workers
 
         # 3. Coordinator restart on the same store: every repeat is
         # answered from disk, terminal on submission, no recompute.
@@ -138,3 +144,26 @@ def test_fleet_survives_node_loss_and_replays_results(
     # 5. No pool process outlives the fleet.
     for pgid in pgids:
         assert _live_members(pgid) == []
+
+
+def _semaphores():
+    return set(glob.glob("/dev/shm/sem.mp-*"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                    reason="no /dev/shm to hold named semaphores")
+def test_a_killed_worker_leaves_no_semaphore(tmp_path, monkeypatch):
+    monkeypatch.setenv(DISK_ENV, str(tmp_path / "traces"))
+    direct = _direct_cells(BENCHMARKS, CONFIGS, MEASURE, WARMUP,
+                           KILL_SEED, None)
+    requests = _job_requests(BENCHMARKS, CONFIGS, MEASURE, WARMUP,
+                             KILL_SEED)
+    before = _semaphores()
+    with LocalFleet(workers=2, cell_delay_ms=400.0,
+                    worker_drain_timeout=5.0,
+                    announce=lambda _message: None) as fleet:
+        client = ServiceClient(fleet.url, client_id="fleet-test")
+        _victim, finals = _run_matrix_killing(fleet, client, requests,
+                                              signal.SIGKILL)
+        assert _cells_of(finals) == direct
+    assert _semaphores() - before == set()

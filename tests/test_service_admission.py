@@ -1,15 +1,16 @@
 """One admission contract, two dispatch backends.
 
 Every admission decision lives in the scheduler core, so the local
-process-pool backend and the fleet's ring backend must answer the same
+process-pool backend and the fleet's lease backend must answer the same
 submissions the same way: the happy path, in-flight dedup, the
 result-store short circuit, 400 on invalid payloads, quota and backlog
 sheds with a ``Retry-After`` hint, and drain.  The fleet backend runs
 with one in-process fake worker node calling its ``lease`` and
 ``report`` entry points, as ``tests/test_fleet_coordinator.py`` does.
 
-Also here: the HTTP front mounts the fleet routes only over a ring, and
-the store's bulk eviction sweep never blocks the event loop.
+Also here: the HTTP front mounts the fleet routes only over a lease
+backend, and the store's bulk eviction sweep never blocks the event
+loop.
 """
 
 import asyncio
@@ -32,8 +33,8 @@ from repro.service.store import ResultStore
 METRICS = {
     "pool": {"store_hits": "result_cache_hits_total",
              "submitted": "jobs_submitted_total"},
-    "ring": {"store_hits": "fleet_store_hits_total",
-             "submitted": "fleet_jobs_submitted_total"},
+    "lease": {"store_hits": "fleet_store_hits_total",
+              "submitted": "fleet_jobs_submitted_total"},
 }
 
 
@@ -52,7 +53,7 @@ def _pool(store, **config):
                      cell_runner=slow_runner)
 
 
-def _ring(store, **config):
+def _lease(store, **config):
     # One fake one-slot worker node, started with the backend: it leases
     # each job, "runs" it for 0.3 s and reports it done.
     backend = FleetCoordinator()
@@ -86,13 +87,13 @@ def _ring(store, **config):
     return scheduler
 
 
-@pytest.fixture(params=["pool", "ring"])
+@pytest.fixture(params=["pool", "lease"])
 def backend(request):
     return request.param
 
 
 def build(backend, store=None, **config):
-    return (_pool if backend == "pool" else _ring)(store, **config)
+    return (_pool if backend == "pool" else _lease)(store, **config)
 
 
 async def wait_state(job, states, timeout=30.0):
@@ -226,9 +227,9 @@ class TestFleetRoutes:
             b'{"node": "http://127.0.0.1:9", "free": 0, "running": []}'))
         assert status == 404
 
-    def test_ring_front_serves_fleet_routes(self, monkeypatch):
+    def test_lease_front_serves_fleet_routes(self, monkeypatch):
         monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 0.01)
-        server = ServiceServer(_ring(None))
+        server = ServiceServer(_lease(None))
 
         def route(method, path, body=b""):
             return asyncio.run(server.route(method, path, {}, body))
@@ -255,7 +256,7 @@ class TestFleetRoutes:
 
     def test_a_report_may_carry_a_large_result(self):
         async def main():
-            server = ServiceServer(_ring(None))
+            server = ServiceServer(_lease(None))
             await server.start()
             try:
                 record = {"state": "done",
