@@ -46,8 +46,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
 from repro.config import MachineConfig
 from repro.core.processor import Processor
 from repro.core.stats import SimulationStats
-from repro.frontend.predictors import make_predictor
-from repro.trace.cache import TRACE_SLACK, cached_spec_trace, default_cache
+from repro.trace.cache import TRACE_SLACK, BranchReplay, default_cache
 
 #: Default measured-slice and warm-up lengths (instructions).
 DEFAULT_MEASURE = 100_000
@@ -162,11 +161,17 @@ def sigterm_interrupts() -> Iterator[None]:
 
 
 def execute(spec: RunSpec) -> RunResult:
-    """Run one simulation to completion (the pool worker entry point)."""
-    trace = cached_spec_trace(spec.benchmark, spec.trace_length,
-                              seed=spec.seed)
-    processor = Processor(spec.config, trace,
-                          predictor=make_predictor(spec.predictor),
+    """Run one simulation to completion (the pool worker entry point).
+
+    The run replays its trace entry's branch-outcome memo
+    (:class:`repro.trace.cache.BranchOutcomes`), so every cell on a
+    cached trace shares one predictor's work.
+    """
+    entry = default_cache().get(spec.benchmark, spec.trace_length,
+                                seed=spec.seed)
+    processor = Processor(spec.config, iter(entry),
+                          predictor=BranchReplay(
+                              entry.outcomes(spec.predictor)),
                           sanitize=True if spec.sanitize else None,
                           observe=spec.observe,
                           gear=spec.gear)

@@ -19,7 +19,8 @@ the service's ``explore`` job kind:
 Determinism contract: steps 1, 2 and 4 are pure functions of the
 lattice spec and knobs, and step 3 is the deterministic simulator - so
 the service path (which re-runs 1/2/4 around the pool) produces a
-payload bit-identical to a direct CLI run with the same inputs.
+payload bit-identical to a direct CLI run with the same inputs, which
+plans once and hands that plan to the payload builder.
 ``BENCH_explore.json`` is exactly this payload.
 """
 
@@ -86,6 +87,11 @@ def survivor_specs(spec: LatticeSpec, budget: int = DEFAULT_BUDGET,
                    seed: int = 1) -> List[RunSpec]:
     """Engine specs for the surviving cells, cell-major then benchmark."""
     _, survivors, _ = plan(spec, budget, prefilter, rank)
+    return _specs_for(spec, survivors, measure, warmup, seed)
+
+
+def _specs_for(spec: LatticeSpec, survivors: Sequence[LatticeCell],
+               measure: int, warmup: int, seed: int) -> List[RunSpec]:
     return [
         RunSpec(config=cell.config, benchmark=benchmark, measure=measure,
                 warmup=warmup, seed=seed)
@@ -103,15 +109,20 @@ def _geomean(values: Sequence[float]) -> float:
 
 def frontier_payload(spec: LatticeSpec, budget: int, prefilter: bool,
                      rank: str, measure: int, warmup: int, seed: int,
-                     results: Sequence[RunResult]) -> Dict:
+                     results: Sequence[RunResult],
+                     planned: Optional[tuple] = None) -> Dict:
     """Rank simulated survivors and assemble the full explore record.
 
     ``results`` must be the output of running :func:`survivor_specs`
     (any execution path - direct, pooled, or the service scheduler);
     everything else is recomputed deterministically from the inputs, so
     two calls with the same arguments return bit-identical payloads.
+    ``planned`` is the :func:`plan` of the same inputs when the caller
+    already holds it; ``None`` plans again.
     """
-    cells, survivors, pruned = plan(spec, budget, prefilter, rank)
+    if planned is None:
+        planned = plan(spec, budget, prefilter, rank)
+    cells, survivors, pruned = planned
     expected = len(survivors) * len(spec.benchmarks)
     if len(results) != expected:
         raise ExperimentError(
@@ -204,11 +215,11 @@ def explore(spec: LatticeSpec, budget: int = DEFAULT_BUDGET,
             progress: Optional[Callable[[RunResult], None]] = None,
             ) -> Dict:
     """Run the full explore pipeline and return the payload dict."""
-    specs = survivor_specs(spec, budget, prefilter, rank, measure,
-                           warmup, seed)
+    planned = plan(spec, budget, prefilter, rank)
+    specs = _specs_for(spec, planned[1], measure, warmup, seed)
     results = execute_many(specs, workers=workers, progress=progress)
     payload = frontier_payload(spec, budget, prefilter, rank, measure,
-                               warmup, seed, results)
+                               warmup, seed, results, planned)
     if registry is not None:
         count_explore(registry, payload)
     return payload

@@ -15,6 +15,14 @@ bubbles) to the core - the processor stalls rename until
 The predictor is trained immediately at fetch, in fetch order.  Because
 wrong-path instructions are not simulated, this is equivalent to in-order
 update at retirement and keeps the predictor state deterministic.
+
+It follows that the direction predicted for branch *k* depends only on
+the trace and the predictor kind, never on the machine fetching it.
+The experiment engine relies on this invariant: every cell on a cached
+trace gets a :class:`repro.trace.cache.BranchReplay` as its predictor,
+which replays the trace entry's memo of predicted directions (see
+:mod:`repro.trace.cache`), so the real predictor resolves each branch
+once per trace rather than once per cell.
 """
 
 from __future__ import annotations

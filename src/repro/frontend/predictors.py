@@ -15,13 +15,13 @@ in prediction order.
 
 from __future__ import annotations
 
-from typing import List
-
 
 class SaturatingCounterTable:
     """A table of n-bit saturating up/down counters.
 
     Counters sit in ``[0, 2**bits - 1]``; the MSB is the prediction.
+    They are stored one per byte, so ``bits`` is at most 8: a 2^16-entry
+    bank costs 64 KB rather than the 512 KB a list of ints would.
     """
 
     def __init__(self, entries: int, bits: int = 2,
@@ -30,13 +30,16 @@ class SaturatingCounterTable:
             raise ValueError("entries must be a positive power of two")
         if bits < 1:
             raise ValueError("counters need at least one bit")
+        if bits > 8:
+            raise ValueError("counters are stored one per byte; "
+                             "bits must be at most 8")
         self.entries = entries
         self.bits = bits
         self.max_value = (1 << bits) - 1
         self.threshold = 1 << (bits - 1)
         if initial is None:
             initial = self.threshold - 1  # weakly not-taken
-        self.counters: List[int] = [initial] * entries
+        self.counters = bytearray([initial]) * entries
         self._mask = entries - 1
 
     def index(self, value: int) -> int:

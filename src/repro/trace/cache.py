@@ -33,6 +33,18 @@ Two storage tiers:
   It writes and reads full-length tuples, so a miss with a disk tier
   materialises the whole trace.
 
+Each entry also memoizes its **branch outcomes**: one
+:class:`BranchOutcomes` per predictor kind, the predicted direction of
+every branch in trace order.  The front end trains its predictor at
+fetch, in trace order, with no wrong path (:mod:`repro.frontend.fetch`),
+so the direction predicted for branch *k* depends on the trace and the
+predictor kind only, never on the machine.  The first run to reach
+branch *k* resolves it on the memo's one live predictor; every other
+run on the entry - any configuration, either gear - replays it from
+the memo through its own :class:`BranchReplay`.  Like the tail, the
+memo grows under the fork-safe lock, and a forked worker extends its
+own copy; it is dropped with its entry.
+
 ``generator_version`` is :data:`repro.trace.synthetic.GENERATOR_VERSION`;
 bumping it invalidates every cached trace, so a stale disk cache can
 never silently feed an old workload to a new simulator.  The simulator
@@ -47,9 +59,10 @@ import pickle
 import threading
 from collections import OrderedDict
 from itertools import chain, islice
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.atomicio import atomic_write_pickle
+from repro.frontend.predictors import BranchPredictor, make_predictor
 from repro.trace.model import TraceInstruction
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import GENERATOR_VERSION, SyntheticTraceGenerator
@@ -68,8 +81,9 @@ TRACE_SLACK = 8_192
 #: Tail instructions generated per extension of an entry.
 _TAIL_CHUNK = 256
 
-#: Guards every entry's tail extension.  Held across fork, so a child
-#: never inherits a generator that another thread was advancing.
+#: Guards every entry's tail and branch-outcome extension.  Held across
+#: fork, so a child never inherits a generator or a live predictor that
+#: another thread was advancing.
 _TAIL_LOCK = threading.Lock()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_TAIL_LOCK.acquire,
@@ -84,15 +98,62 @@ def trace_key(profile_name: str, length: int, seed: int) -> Key:
     return (profile_name, length, seed, GENERATOR_VERSION)
 
 
+class BranchOutcomes:
+    """The predicted directions of one trace's branches, one kind.
+
+    ``predicted[k]`` is 1 when the predictor predicts branch *k* of the
+    trace taken.  ``live`` is the predictor that has resolved branches
+    ``0 .. len(predicted) - 1``, in order; :meth:`extend` feeds it the
+    next one.
+    """
+
+    __slots__ = ("predicted", "live")
+
+    def __init__(self, kind: str) -> None:
+        self.predicted = bytearray()
+        self.live = make_predictor(kind)
+
+    def extend(self, k: int, pc: int, taken: bool) -> bool:
+        """The direction of branch ``k``, resolving it if no run has."""
+        with _TAIL_LOCK:
+            predicted = self.predicted
+            if k == len(predicted):
+                predicted.append(self.live.resolve(pc, taken))
+            return predicted[k] == 1
+
+
+class BranchReplay(BranchPredictor):
+    """One run's predictor: replays a :class:`BranchOutcomes` memo.
+
+    The front end calls :meth:`resolve` once per branch, in trace order,
+    so the k-th call is branch *k*: it returns the memoized direction,
+    or resolves the branch on the memo's live predictor when this run
+    is the first to reach it.  Only ``resolve`` is supported.
+    """
+
+    def __init__(self, outcomes: BranchOutcomes) -> None:
+        self._outcomes = outcomes
+        self._predicted = outcomes.predicted
+        self._next = 0
+
+    def resolve(self, pc: int, taken: bool) -> bool:
+        k = self._next
+        self._next = k + 1
+        if k < len(self._predicted):
+            return self._predicted[k] == 1
+        return self._outcomes.extend(k, pc, taken)
+
+
 class TraceEntry:
     """One cached trace: an eager prefix and a lazily generated tail.
 
     ``len()`` is the requested length.  Iterating yields that many
     instructions, the same ones a full generation yields; the tail is
-    generated the first time any iterator reaches it.
+    generated the first time any iterator reaches it.  The entry also
+    holds the trace's :class:`BranchOutcomes`, one per predictor kind.
     """
 
-    __slots__ = ("length", "_prefix", "_tail", "_source")
+    __slots__ = ("length", "_prefix", "_tail", "_source", "_outcomes")
 
     def __init__(self, prefix: Tuple[TraceInstruction, ...], length: int,
                  source: Optional[Iterator[TraceInstruction]] = None
@@ -102,6 +163,7 @@ class TraceEntry:
         self._tail: List[TraceInstruction] = []
         #: The paused generator that yields the tail; None once done.
         self._source = source if len(prefix) < length else None
+        self._outcomes: Dict[str, BranchOutcomes] = {}
 
     def __len__(self) -> int:
         return self.length
@@ -132,6 +194,14 @@ class TraceEntry:
                 if len(self._prefix) + len(tail) >= self.length:
                     self._source = None
             return position < len(tail)
+
+    def outcomes(self, kind: str) -> BranchOutcomes:
+        """This trace's branch-outcome memo for predictor ``kind``."""
+        with _TAIL_LOCK:
+            memo = self._outcomes.get(kind)
+            if memo is None:
+                memo = self._outcomes[kind] = BranchOutcomes(kind)
+            return memo
 
 
 class TraceCache:

@@ -17,6 +17,8 @@ from repro.explore import (
     prefilter_cells,
     rank_value,
 )
+from repro.experiments.runner import execute_many
+from repro.explore import explorer
 from repro.explore.explorer import plan
 from repro.explore.frontier import dominates, ranked
 from repro.explore.lattice import LatticeError
@@ -207,6 +209,26 @@ class TestExplorePayload:
             else:
                 assert row["dominated_by"] in {r["cell"]
                                                for r in one["results"]}
+
+    def test_explore_plans_once_and_matches_the_replanned_payload(
+            self, monkeypatch):
+        spec = LatticeSpec(
+            specializations=("ws", "wsrs"), clusters=(4,),
+            registers=(81,), widths=(8,),
+            steerings=("round_robin", "random_commutative"),
+            deadlocks=("auto",), benchmarks=("gzip",))
+        calls = []
+        monkeypatch.setattr(explorer, "plan",
+                            lambda *args: calls.append(args) or plan(*args))
+        payload = explore(spec, budget=2, measure=1_000, warmup=500,
+                          workers=1)
+        assert len(calls) == 1
+        # The service path re-plans at payload time: same bytes.
+        specs = explorer.survivor_specs(spec, 2, measure=1_000,
+                                        warmup=500)
+        replanned = explorer.frontier_payload(
+            spec, 2, True, "ed2p", 1_000, 500, 1, execute_many(specs, 1))
+        assert json.dumps(payload) == json.dumps(replanned)
 
 
 class TestCli:

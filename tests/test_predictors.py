@@ -58,6 +58,17 @@ class TestSaturatingCounters:
         with pytest.raises(ValueError):
             SaturatingCounterTable(16, bits=0)
 
+    def test_rejects_counters_wider_than_a_byte(self):
+        with pytest.raises(ValueError, match="at most 8"):
+            SaturatingCounterTable(16, bits=9)
+
+    def test_eight_bit_counters_saturate_at_255(self):
+        table = SaturatingCounterTable(4, bits=8)
+        for _ in range(300):
+            table.update(1, True)
+        assert table.counters[1] == 255
+        assert table.predict(1)
+
 
 class TestGlobalHistory:
     def test_push_shifts_in_lsb(self):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.service.loadtest import percentile, run
+from repro.service.loadtest import fleet_speedup, percentile, run
 
 
 class TestPercentile:
@@ -31,6 +31,28 @@ class TestPercentile:
 
     def test_single_value(self):
         assert percentile([7.0], 0.99) == 7.0
+
+
+def _point(*throughputs):
+    return {"passes": [{"throughput_jobs_per_s": value}
+                       for value in throughputs]}
+
+
+class TestFleetSpeedup:
+    def test_one_slow_pass_does_not_move_the_speedup(self):
+        # A late round at 3 nodes (2.6 jobs/s) would read 2.167x from
+        # that pass alone; the medians read 3.1 / 1.2.
+        scaling = [_point(1.2, 1.2, 1.1), _point(3.1, 2.6, 3.2)]
+        assert fleet_speedup(scaling) == round(3.1 / 1.2, 3)
+
+    def test_compares_the_first_and_last_points(self):
+        scaling = [_point(1.0, 1.0, 1.0), _point(9.0, 9.0, 9.0),
+                   _point(2.0, 2.5, 3.0)]
+        assert fleet_speedup(scaling) == 2.5
+
+    def test_a_dead_baseline_reads_zero(self):
+        assert fleet_speedup([_point(0.0, 0.0, 0.0),
+                              _point(2.0, 2.0, 2.0)]) == 0.0
 
 
 @pytest.fixture(scope="module")
