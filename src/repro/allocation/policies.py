@@ -123,8 +123,8 @@ class Allocator:
     Every policy draws randomness exclusively from ``self.rng``, a
     per-instance :class:`random.Random` built from the recorded
     ``self.seed`` - never from the module-level ``random.*`` API, whose
-    shared global state would make matrix cells irreproducible (the
-    ``wsrs lint`` pass enforces exactly this).
+    shared global state would make matrix cells irreproducible
+    (``wsrs analyze --pass lint`` enforces exactly this).
     """
 
     name = "base"

@@ -2,9 +2,8 @@
 
 Runs every shipped configuration (the section-5 set plus the noWS-2
 reference machine and the 7-cluster extension) through the config rule
-registry.  ``wsrs verify`` keeps its own per-config report format; this
-pass folds the same checks into the unified analyzer so a rule
-violation in a shipped configuration fails the ``analyze`` CI job too.
+registry as ``wsrs analyze --pass config-rules``, so a rule violation
+in a shipped configuration fails the ``analyze`` CI job too.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Documentation freshness (:mod:`repro.verify.docscheck`) as a pass.
 
-``wsrs docscheck`` is a thin alias for ``wsrs analyze --pass
-docscheck``.  The checker's kinds map onto stable rule ids so findings
-can be baselined and suppressed like any other pass's.
+``wsrs analyze --pass docscheck`` runs it.  The checker's kinds map
+onto stable rule ids so findings can be baselined and suppressed like
+any other pass's.
 """
 
 from __future__ import annotations

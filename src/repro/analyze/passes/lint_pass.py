@@ -1,10 +1,9 @@
 """The determinism/API lint (:mod:`repro.verify.lint`) as a pass.
 
-``wsrs lint`` is a thin alias for ``wsrs analyze --pass lint``; the
-rules and the AST machinery live in :mod:`repro.verify.lint`, this
-module only adapts them to the framework's finding shape and default
-target set (the ``repro`` package plus ``examples/`` and
-``benchmarks/``).
+``wsrs analyze --pass lint`` runs it; the rules and the AST machinery
+live in :mod:`repro.verify.lint`, this module only adapts them to the
+framework's finding shape and default target set (the ``repro``
+package plus ``examples/`` and ``benchmarks/``).
 """
 
 from __future__ import annotations

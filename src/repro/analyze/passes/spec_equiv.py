@@ -49,9 +49,9 @@ Rules
     calls none.
 ``SPEC-EQUIV-PURITY``
     No module-level ``random.*`` call and no set iteration reaches the
-    generated body (the same determinism hazards ``wsrs lint`` bans in
-    handwritten sources), and the body resolves globals only from the
-    stepper's closed exec namespace.
+    generated body (the same determinism hazards
+    ``wsrs analyze --pass lint`` bans in handwritten sources), and the
+    body resolves globals only from the stepper's closed exec namespace.
 ``SPEC-EQUIV-RNG``
     The inlined steering code is *call-for-call* aligned with the
     reference allocation policy: the extracted steering block is

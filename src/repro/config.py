@@ -22,7 +22,7 @@ up to 56 in-flight instructions per cluster (224 total).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -225,6 +225,30 @@ class MachineConfig:
     @property
     def uses_read_specialization(self) -> bool:
         return self.specialization == SPECIALIZATION_WSRS
+
+    @property
+    def deadlock_free(self) -> bool:
+        """The section 2.3 sizing rule: every subset holds more registers
+        than its class has logical ones, so no subset can ever be filled
+        with architected values and no deadlock workaround can fire."""
+        return (self.int_subset_size > self.int_logical_registers
+                and self.fp_subset_size > self.fp_logical_registers)
+
+    @property
+    def simulation_key(self) -> Tuple:
+        """Every field but ``name``, with ``deadlock_policy`` folded to
+        ``none`` on a :attr:`deadlock_free` machine: two configs with
+        equal keys simulate bit-identically."""
+        key = []
+        for name in (entry.name for entry in fields(self)):
+            value = getattr(self, name)
+            if name == "deadlock_policy" and self.deadlock_free:
+                value = DEADLOCK_NONE
+            elif isinstance(value, dict):
+                value = tuple(sorted((op.name, v) for op, v in value.items()))
+            if name != "name":
+                key.append(value)
+        return tuple(key)
 
     # -- validation ------------------------------------------------------
 

@@ -21,6 +21,8 @@ out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
   matrix, so forked workers inherit each trace's eager prefix through
   copy-on-write pages instead of regenerating it (each worker extends
   its own copy of the short slack tail its runs read);
+* every distinct :attr:`RunSpec.key` is simulated once; a spec whose
+  key an earlier spec shares gets its own copy of that run's result;
 * ``progress(...)`` callbacks stream in the parent as futures complete,
   in completion order; results are reassembled in spec order, so the
   returned structure - and every statistic in it - is bit-identical to
@@ -34,12 +36,13 @@ picklable data.
 
 from __future__ import annotations
 
+import copy
 import os
 import signal
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
     Sequence, Set
 
@@ -82,6 +85,15 @@ class RunSpec:
     @property
     def trace_length(self) -> int:
         return self.warmup + self.measure + TRACE_SLACK
+
+    @property
+    def key(self) -> tuple:
+        """Equal keys simulate bit-identically (the config's
+        :attr:`~repro.config.MachineConfig.simulation_key`, so the
+        machine's name is not part of it)."""
+        return (self.config.simulation_key, self.benchmark, self.measure,
+                self.warmup, self.seed, self.predictor, self.sanitize,
+                self.observe, self.gear)
 
 
 @dataclass
@@ -181,6 +193,13 @@ def execute(spec: RunSpec) -> RunResult:
                      despecializations=processor.despecializations)
 
 
+def twin_result(result: RunResult, spec: RunSpec) -> RunResult:
+    """``result`` handed to ``spec``, a spec with the same key: its own
+    spec and its own copy of the stats and obs."""
+    return replace(result, spec=spec, stats=copy.deepcopy(result.stats),
+                   obs=copy.deepcopy(result.obs))
+
+
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalise a ``workers=`` knob to a concrete positive count."""
     if workers is None:
@@ -215,16 +234,24 @@ def execute_many(
 ) -> List[RunResult]:
     """Run every spec, fanning out over a process pool when ``workers>1``.
 
-    Results come back in ``specs`` order regardless of completion order.
-    ``progress``, when given, is called as ``progress(result)`` once per
-    finished cell - in spec order when serial, in completion order when
-    parallel.
+    Each distinct :attr:`RunSpec.key` is simulated once; its twins get
+    a :func:`twin_result` copy when it finishes.  Results come back in
+    ``specs`` order regardless of completion order.  ``progress``, when
+    given, is called as ``progress(result)`` once per spec - in spec
+    order when serial, in completion order when parallel.
     """
     workers = resolve_workers(workers)
-    if workers == 1 or len(specs) <= 1:
+    twins: Dict[tuple, List[int]] = {}
+    for index, spec in enumerate(specs):
+        twins.setdefault(spec.key, []).append(index)
+    if workers == 1 or len(twins) <= 1:
+        runs: Dict[tuple, RunResult] = {}
         results = []
         for spec in specs:
-            result = execute(spec)
+            if spec.key in runs:
+                result = twin_result(runs[spec.key], spec)
+            else:
+                result = runs[spec.key] = execute(spec)
             results.append(result)
             if progress is not None:
                 progress(result)
@@ -242,17 +269,21 @@ def execute_many(
             # via copy-on-write pages.
             warm_trace_cache(specs)
             pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(specs)))
-            future_index = {pool.submit(execute, spec): index
-                            for index, spec in enumerate(specs)}
-            pending = set(future_index)
+                max_workers=min(workers, len(twins)))
+            future_group = {pool.submit(execute, specs[group[0]]): group
+                            for group in twins.values()}
+            pending = set(future_group)
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    result = future.result()
-                    slots[future_index[future]] = result
+                    first, *rest = future_group[future]
+                    slots[first] = future.result()
+                    for index in rest:
+                        slots[index] = twin_result(slots[first],
+                                                   specs[index])
                     if progress is not None:
-                        progress(result)
+                        for index in (first, *rest):
+                            progress(slots[index])
     except (KeyboardInterrupt, SystemExit) as exc:
         # Flush what finished; the finally below reaps the workers, so
         # an interrupted sweep leaves neither orphans nor torn results.

@@ -44,12 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import (
-    DEADLOCK_MOVES,
-    DEADLOCK_NONE,
-    MachineConfig,
-    ClusterConfig,
-)
+from repro.config import DEADLOCK_MOVES, ClusterConfig, MachineConfig
 from repro.errors import ConfigError
 from repro.trace.profiles import PROFILES
 from repro.verify.rules import check_config
@@ -245,17 +240,7 @@ def build_config(spec_kind: str, clusters: int, registers: int, width: int,
     penalty follows the specialization's pipeline depth.
     """
     cluster = ClusterConfig()
-    int_total = registers * clusters
-    fp_total = (registers // 2) * clusters
-    if deadlock == "moves":
-        deadlock_policy = DEADLOCK_MOVES
-    else:  # "auto": policy none iff the sizing rule proves safety
-        subsets = 1 if spec_kind == "none" else clusters
-        safe = (int_total // subsets > 80
-                and fp_total // subsets > 32)
-        deadlock_policy = (DEADLOCK_NONE if spec_kind == "none" or safe
-                           else DEADLOCK_MOVES)
-    return MachineConfig(
+    config = MachineConfig(
         name=cell_name(spec_kind, clusters, registers, width, steering,
                        deadlock),
         num_clusters=clusters,
@@ -266,25 +251,21 @@ def build_config(spec_kind: str, clusters: int, registers: int, width: int,
         specialization=spec_kind,
         rename_impl=_RENAME_IMPLS[spec_kind],
         allocation_policy=steering,
-        deadlock_policy=deadlock_policy,
-        int_physical_registers=int_total,
-        fp_physical_registers=fp_total,
+        int_physical_registers=registers * clusters,
+        fp_physical_registers=(registers // 2) * clusters,
         mispredict_penalty=_PENALTIES[spec_kind],
     )
+    # "auto" keeps policy none iff the sizing rule proves safety.
+    if deadlock == "moves" or not config.deadlock_free:
+        config = config.with_changes(deadlock_policy=DEADLOCK_MOVES)
+    return config
 
 
 def _structural_key(config: MachineConfig) -> Tuple:
-    """Everything that affects simulation results, minus the name."""
-    return (
-        config.num_clusters, config.front_width, config.commit_width,
-        config.rob_size, config.cluster, config.specialization,
-        config.rename_impl, config.allocation_policy,
-        config.deadlock_policy, config.int_physical_registers,
-        config.fp_physical_registers, config.mispredict_penalty,
-        config.fastforward, tuple(sorted(
-            (op.name, lat) for op, lat in config.latencies.items())),
-        config.pipelined_muldiv, config.shared_muldiv, config.seed,
-    )
+    """The simulation key plus the declared deadlock policy: a forced
+    ``moves`` cell stays its own design point even where it simulates
+    like its ``auto`` twin."""
+    return config.simulation_key, config.deadlock_policy
 
 
 def enumerate_lattice(spec: LatticeSpec) -> List[LatticeCell]:

@@ -20,7 +20,9 @@ runs:
   pool slot; each pulls the lowest-``(priority, seq)`` job and runs its
   cells through a ``ProcessPoolExecutor`` (the same engine
   :func:`repro.experiments.runner.execute_many` fans matrices over),
-  checking the job deadline and cancellation flag between cells.  The
+  checking the job deadline and cancellation flag between cells and
+  simulating each distinct :attr:`~repro.experiments.runner.RunSpec.key`
+  once, as ``execute_many`` does.  The
   fleet's lease backend (:class:`repro.fleet.coordinator
   .FleetCoordinator`) keeps admitted jobs in one backlog that worker
   nodes lease from instead.
@@ -66,6 +68,7 @@ from repro.experiments.runner import (
     RunSpec,
     execute,
     shutdown_pool,
+    twin_result,
 )
 from repro.obs.registry import ObsRegistry
 from repro.service import jobs as jobmodel
@@ -554,18 +557,23 @@ class PoolBackend(Backend):
         deadline = started + core.config.job_timeout
         try:
             results: List[RunResult] = []
+            runs: Dict[tuple, RunResult] = {}  # one run per distinct key
             for spec in jobmodel.cell_specs(job.request):
                 if job.cancel_requested:
                     core._finish(job, jobmodel.CANCELLED,
                                  error="cancelled mid-run")
                     return
+                if spec.key in runs:
+                    results.append(twin_result(runs[spec.key], spec))
+                    continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise asyncio.TimeoutError
                 future = loop.run_in_executor(
                     self._pool, self._cell_runner, spec)
-                results.append(
-                    await asyncio.wait_for(future, timeout=remaining))
+                runs[spec.key] = await asyncio.wait_for(future,
+                                                        timeout=remaining)
+                results.append(runs[spec.key])
             if job.cancel_requested:
                 core._finish(job, jobmodel.CANCELLED,
                              error="cancelled mid-run")

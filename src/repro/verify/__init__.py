@@ -8,8 +8,8 @@ Three analysis passes guard the structural claims of the paper:
 * :mod:`repro.verify.sanitizer` - the opt-in cycle-level pipeline
   sanitizer (``Processor(sanitize=True)``, ``--sanitize``,
   ``WSRS_SANITIZE``);
-* :mod:`repro.verify.lint` - the ``wsrs lint`` determinism and API
-  lint over the simulator sources.
+* :mod:`repro.verify.lint` - the ``wsrs analyze --pass lint``
+  determinism and API lint over the simulator sources.
 """
 
 from repro.verify.lint import LintFinding, lint_file, lint_paths

@@ -1,7 +1,7 @@
 """Documentation checker: dead links/anchors and stale CLI commands.
 
-``wsrs docscheck`` walks the repository's user-facing Markdown
-(``README.md`` and ``docs/*.md`` by default) and fails on the two ways
+``wsrs analyze --pass docscheck`` walks the repository's user-facing
+Markdown (``README.md`` and ``docs/*.md`` by default) and fails on the two ways
 docs rot against the code:
 
 * **Dead intra-repo links**: every relative link target must exist on

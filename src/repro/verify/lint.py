@@ -1,8 +1,8 @@
 """Determinism and API lint for the simulator sources.
 
-A static AST pass (``wsrs lint``) over :mod:`repro` that flags the coding
-hazards most likely to silently corrupt reproducibility or the WS/RS
-invariants:
+A static AST pass (``wsrs analyze --pass lint``) over :mod:`repro` that
+flags the coding hazards most likely to silently corrupt reproducibility
+or the WS/RS invariants:
 
 =======================  ==================================================
 ``LINT-RANDOM``          a call through the module-level ``random.*`` API

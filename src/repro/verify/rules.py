@@ -202,16 +202,16 @@ def _check_port_arithmetic(config: MachineConfig) -> Iterator[str]:
 @rule("CFG-DEADLOCK-PROOF",
       "deadlock_policy='none' requires provably deadlock-free subsets")
 def _check_deadlock_proof(config: MachineConfig) -> Iterator[str]:
-    if config.deadlock_policy != DEADLOCK_NONE:
+    # The section 2.3 deadlock needs every physical register of one
+    # subset architecturally mapped; with at most `logical` committed
+    # mappings per class that state is unreachable iff the subset holds
+    # strictly more registers (MachineConfig.deadlock_free).
+    # subset_size == logical is the borderline case
+    # MachineConfig.validate lets through.
+    if config.deadlock_policy != DEADLOCK_NONE or config.deadlock_free:
         return
-    num_subsets = config.num_subsets
     for label, total, logical in _register_classes(config):
-        subset_size = total // num_subsets
-        # The section 2.3 deadlock needs every physical register of one
-        # subset architecturally mapped; with at most `logical` committed
-        # mappings per class that state is unreachable iff the subset
-        # holds strictly more registers.  subset_size == logical is the
-        # borderline case MachineConfig.validate lets through.
+        subset_size = total // config.num_subsets
         if subset_size <= logical:
             yield (f"{label} subsets of {subset_size} registers can in "
                    f"principle deadlock with {logical} architected "

@@ -293,13 +293,14 @@ class TestLeases:
         assert coordinator.registry.counters["fleet_leases_total"] == 3
 
     def test_a_new_job_goes_to_the_first_waiting_node(self, monkeypatch):
-        monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 10.0)
         coordinator = _coordinator()
         backend = coordinator.backend
 
         async def main():
+            # Registration holds only the fixture's short hold.
             for node in (N0, N1):
                 await backend.lease(node, 0, [])
+            monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 10.0)
             holds = {node: asyncio.ensure_future(backend.lease(node, 1, []))
                      for node in (N0, N1)}
             await asyncio.sleep(0.01)
@@ -348,7 +349,6 @@ class TestLeases:
     def test_three_workers_always_take_three_rounds(self, monkeypatch):
         """8 one-slot jobs on 3 one-slot workers: no node is handed a
         4th job while another node's exchange is waiting for work."""
-        monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 10.0)
         coordinator = _coordinator()
         backend = coordinator.backend
         nodes = (N0, N1, N2)
@@ -382,8 +382,10 @@ class TestLeases:
                     asyncio.ensure_future(run(job_id))
 
         async def main():
+            # Registration holds only the fixture's short hold.
             for node in nodes:
                 await backend.lease(node, 0, [])
+            monkeypatch.setattr(coordinator_module, "LEASE_HOLD_S", 10.0)
             began = time.monotonic()
             workers = [asyncio.ensure_future(worker(node))
                        for node in nodes]
