@@ -1,6 +1,6 @@
-"""Benchmark: section 4.3.1's locality claim and the extension machines.
+"""Benchmark: section 4.3.1's locality claim and the 7-cluster machine.
 
-Three measured claims beyond the headline figures:
+Two measured claims beyond the headline figures:
 
 * **Forwarding locality** (section 4.3.1): "statistically two out of
   four possible consumers for a result will be located on the producer
@@ -9,13 +9,10 @@ Three measured claims beyond the headline figures:
   bypass share.
 * **7-cluster WSRS** (companion report): the 14-way machine runs and
   beats the 8-way on high-ILP workloads.
-* **SMT** (section 2.3): two threads beat the memory-bound thread alone,
-  and the under-provisioned WS machine survives with a workaround.
 """
 
 from repro.config import baseline_rr_256, wsrs_rc, wsrs_seven_cluster
 from repro.core.processor import simulate
-from repro.extensions.smt import smt_machine_config, smt_trace
 from repro.trace.profiles import spec_trace
 
 MEASURE = 30_000
@@ -50,15 +47,3 @@ def test_seven_cluster_machine(benchmark):
     four_ipc, seven_ipc = benchmark.pedantic(run, rounds=1, iterations=1)
     assert seven_ipc > four_ipc  # 14-way wins on a high-ILP FP workload
 
-
-def test_smt_throughput(benchmark):
-    def run():
-        alone = simulate(baseline_rr_256(), smt_trace(["mcf"], MEASURE),
-                         measure=MEASURE)
-        config = smt_machine_config(baseline_rr_256(), threads=2)
-        pair = simulate(config, smt_trace(["mcf", "gzip"], MEASURE),
-                        measure=2 * MEASURE)
-        return alone.ipc, pair.ipc
-
-    alone_ipc, pair_ipc = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert pair_ipc > alone_ipc * 1.3

@@ -1,8 +1,7 @@
 """The ``wsrs analyze`` driver: run passes, diff the baseline, render.
 
-One function, :func:`run_analysis`, backs three CLI commands -
-``analyze`` itself plus the ``lint`` and ``docscheck`` aliases (which
-pin ``passes=`` and keep their historical output/exit contract).
+One function, :func:`run_analysis`, backs the ``wsrs analyze`` command;
+``--pass NAME`` (repeatable) selects passes, the default runs them all.
 
 Exit code contract: 0 when every gating finding (severity ``error`` or
 ``warning``) is covered by the committed baseline, 1 otherwise.

@@ -4,10 +4,8 @@ The analyzer (``wsrs analyze``) is a registry of *passes*.  Each pass is
 a plain function taking an :class:`AnalysisContext` and returning a list
 of :class:`Finding` objects; the :func:`analysis_pass` decorator
 registers it under a stable name together with its rule catalogue (the
-rule metadata feeds the SARIF output).  Third-party packages can ship
-passes through the ``wsrs.analysis_passes`` entry-point group - loading
-the entry point must execute the decorator, exactly like the built-in
-passes in :mod:`repro.analyze.passes`.
+rule metadata feeds the SARIF output).  The passes are the modules of
+:mod:`repro.analyze.passes`; importing that package registers them.
 
 Findings carry a severity: ``error`` and ``warning`` gate the run (CI
 fails on any such finding not in the committed baseline, see
@@ -32,9 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Finding severities, most severe first.  ``note`` never gates.
 SEVERITIES = ("error", "warning", "note")
-
-#: Entry-point group third-party analysis passes register under.
-ENTRY_POINT_GROUP = "wsrs.analysis_passes"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*wsrs:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_, -]+)\])?")
@@ -127,7 +122,6 @@ class AnalysisPass:
 
 
 _REGISTRY: Dict[str, AnalysisPass] = {}
-_LOADED = False
 
 
 def analysis_pass(name: str, title: str,
@@ -145,28 +139,8 @@ def analysis_pass(name: str, title: str,
 
 
 def load_passes() -> None:
-    """Import the built-in passes and any entry-point passes (once)."""
-    global _LOADED
-    if _LOADED:
-        return
-    _LOADED = True
-    import repro.analyze.passes  # noqa: F401  (registers on import)
-
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - py3.7 fallback
-        return
-    try:
-        points = entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - pre-3.10 selection API
-        points = entry_points().get(ENTRY_POINT_GROUP, ())
-    for point in points:  # pragma: no cover - none ship in-repo
-        try:
-            point.load()  # loading runs the @analysis_pass decorator
-        except Exception:
-            # A broken third-party pass must not take the analyzer down;
-            # its absence shows up in --list-passes.
-            continue
+    """Import the built-in passes (registration runs on first import)."""
+    import repro.analyze.passes  # noqa: F401
 
 
 def all_passes() -> List[AnalysisPass]:

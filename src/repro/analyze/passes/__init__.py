@@ -1,9 +1,8 @@
 """Built-in analysis passes.
 
 Importing this package registers every pass with the framework
-registry; the modules themselves only use the :func:`analysis_pass`
-decorator, exactly like a third-party ``wsrs.analysis_passes`` entry
-point would.
+registry; each module registers its pass with the
+:func:`~repro.analyze.framework.analysis_pass` decorator.
 """
 
 from repro.analyze.passes import (  # noqa: F401

@@ -240,7 +240,7 @@ def sampled_configs(count: int = 50,
             overrides["cluster"] = ClusterConfig(
                 issue_width=rng.choice((2, 4)),
                 num_alus=rng.choice((2, 3)),
-                num_lsus=rng.choice((0, 1)),
+                num_lsus=rng.choice((1, 2)),
                 num_fpus=rng.choice((1, 2)),
                 max_inflight=rng.choice((28, 56)))
         if kind == "rr" and rng.random() < 0.3:

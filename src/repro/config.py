@@ -149,6 +149,10 @@ class ClusterConfig:
             raise ConfigError("cluster issue width must be >= 1")
         if min(self.num_alus, self.num_lsus, self.num_fpus) < 0:
             raise ConfigError("functional unit counts must be >= 0")
+        if self.num_lsus < 1:
+            # No load could ever issue: the pipeline would stall until
+            # the deadlock watchdog fires.
+            raise ConfigError("cluster needs at least one load/store unit")
         if self.max_inflight < self.issue_width:
             raise ConfigError("cluster window smaller than issue width")
 

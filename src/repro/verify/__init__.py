@@ -1,18 +1,20 @@
 """Verification layer: machine-checked WS/RS invariants.
 
-Three analysis passes guard the structural claims of the paper:
+Two checkers guard the structural claims of the paper at run time (the
+explorer's lattice runs the rules, the processor the sanitizer):
 
 * :mod:`repro.verify.rules` - whole-``MachineConfig`` static rules
   (write-map partition, Figure 3 read connectivity, port-count
-  arithmetic, provable deadlock freedom);
+  arithmetic, provable deadlock freedom), also run over every shipped
+  configuration by ``wsrs analyze --pass config-rules``;
 * :mod:`repro.verify.sanitizer` - the opt-in cycle-level pipeline
   sanitizer (``Processor(sanitize=True)``, ``--sanitize``,
-  ``WSRS_SANITIZE``);
-* :mod:`repro.verify.lint` - the ``wsrs analyze --pass lint``
-  determinism and API lint over the simulator sources.
+  ``WSRS_SANITIZE``).
+
+The source lint lives with the other static checks in
+:mod:`repro.analyze.passes.lint_pass`.
 """
 
-from repro.verify.lint import LintFinding, lint_file, lint_paths
 from repro.verify.rules import (
     Rule,
     RuleViolation,
@@ -28,9 +30,6 @@ from repro.verify.sanitizer import (
 )
 
 __all__ = [
-    "LintFinding",
-    "lint_file",
-    "lint_paths",
     "Rule",
     "RuleViolation",
     "all_rules",

@@ -74,7 +74,7 @@ class TestCleanCodegen:
         assert "random_monadic" in policies
         assert "round_robin" in policies
         assert {c.deadlock_policy for c in configs} >= {"moves"}
-        assert {c.cluster.num_lsus for c in configs} == {0, 1}
+        assert {c.cluster.num_lsus for c in configs} == {1, 2}
         assert {c.rename_impl for c in configs} == {1, 2}
 
 

@@ -245,6 +245,8 @@ class TestMemoryConfig:
             ClusterConfig(issue_width=0).validate()
         with pytest.raises(ConfigError):
             ClusterConfig(max_inflight=1).validate()
+        with pytest.raises(ConfigError, match="load/store unit"):
+            ClusterConfig(num_lsus=0).validate()
 
 
 class TestLatencies:

@@ -5,7 +5,6 @@ import pytest
 from repro.config import baseline_rr_256, two_cluster_4way, ws_rr, wsrs_rc
 from repro.core.processor import Processor, simulate
 from repro.cost.report import TABLE1_ORGANIZATIONS
-from repro.extensions.smt import interleave, smt_machine_config
 from repro.frontend.predictors import AlwaysTakenPredictor
 from repro.trace.model import OpClass, TraceInstruction
 from tests.conftest import branch, ialu, load, store
@@ -77,26 +76,6 @@ class TestConfigConsistency:
         assert second.latencies[OpClass.IALU] == 1
 
 
-class TestSmtEdges:
-    def test_chunk_of_one_interleaves_finely(self):
-        a = [ialu(1, pc=0) for _ in range(3)]
-        b = [ialu(2, pc=0) for _ in range(3)]
-        merged = list(interleave([a, b], chunk=1))
-        from repro.extensions.smt import THREAD_PC_STRIDE
-
-        threads = [inst.pc // THREAD_PC_STRIDE for inst in merged]
-        assert threads == [0, 1, 0, 1, 0, 1]
-
-    def test_single_thread_is_identity_modulo_remap(self):
-        trace = [ialu(5, src1=3)]
-        merged = list(interleave([trace]))
-        assert merged[0].dest == 5  # thread 0 of 1: no offset
-
-    def test_smt_one_thread_config_is_unchanged(self):
-        config = smt_machine_config(baseline_rr_256(), threads=1)
-        assert config.int_logical_registers == 80
-
-
 class TestSchedulerEdges:
     def test_dependent_on_both_operands_of_one_producer(self):
         """src1 == src2 == same physical register: the double-waiter path."""
@@ -125,16 +104,3 @@ class TestSchedulerEdges:
         # resolution waited on the 94-cycle miss plus the penalty
         assert stats.cycles > 94 + 17
 
-
-class TestGanttScaling:
-    def test_wide_span_compresses_into_the_width(self):
-        from repro.core.debug import format_gantt, trace_pipeline
-
-        trace = [load(1 + i % 8, 17, addr=0x100000 + 4096 * i)
-                 for i in range(8)]
-        tracer = trace_pipeline(baseline_rr_256(), iter(trace),
-                                instructions=8)
-        text = format_gantt(tracer.records, width=20)
-        for line in text.splitlines()[1:]:
-            bar = line.split("|")[1]
-            assert len(bar) <= 20

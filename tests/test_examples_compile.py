@@ -20,8 +20,7 @@ def test_the_expected_examples_exist():
     names = {path.name for path in EXAMPLES}
     assert {"quickstart.py", "microbenchmarks.py", "custom_workload.py",
             "complexity_explorer.py", "deadlock_workarounds.py",
-            "pipeline_visualizer.py", "smt_workloads.py",
-            "seven_clusters.py"} <= names
+            "pipeline_visualizer.py", "seven_clusters.py"} <= names
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)

@@ -1,22 +1,26 @@
-"""The determinism/API lint pass (repro.verify.lint)."""
+"""The determinism/API lint pass (repro.analyze.passes.lint_pass)."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.verify.lint import (
-    LintFinding,
+from repro.analyze.framework import AnalysisContext, Finding, run_passes
+from repro.analyze.passes.lint_pass import (
     default_lint_target,
     default_lint_targets,
-    lint_file,
-    lint_paths,
+    run_lint,
 )
+
+
+def _lint(root, *paths):
+    return run_passes(["lint"], AnalysisContext(root=root, paths=paths))
 
 
 def _lint_source(tmp_path, source, name="sample.py"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return lint_file(path)
+    return _lint(tmp_path, path)
 
 
 def _rules(findings):
@@ -31,9 +35,10 @@ class TestLintRandom:
             def pick():
                 return random.randrange(4)
         """)
-        assert _rules(findings) == ["LINT-RANDOM"]
-        assert findings[0].line == 5
-        assert "random.randrange" in findings[0].message
+        assert findings == [Finding(
+            pass_name="lint", rule="LINT-RANDOM", path="sample.py", line=5,
+            message="module-level random.randrange() shares unseeded "
+                    "global state; use a per-instance random.Random(seed)")]
 
     def test_seeded_instance_is_clean(self, tmp_path):
         findings = _lint_source(tmp_path, """
@@ -176,14 +181,17 @@ class TestLintPaths:
                                        encoding="utf-8")
         (tmp_path / "a.py").write_text("def f(x=[]):\n    return x\n",
                                        encoding="utf-8")
-        findings = lint_paths([tmp_path])
-        assert [f.rule for f in findings] == ["LINT-MUTABLE-DEFAULT",
-                                              "LINT-RANDOM"]
-        assert findings[0].path.endswith("a.py")
+        findings = _lint(tmp_path, tmp_path)
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("LINT-MUTABLE-DEFAULT", "a.py", 1), ("LINT-RANDOM", "b.py", 2)]
 
-    def test_finding_str_is_greppable(self):
-        finding = LintFinding("src/x.py", 7, "LINT-RANDOM", "boom")
-        assert str(finding) == "src/x.py:7: LINT-RANDOM: boom"
+    def test_finding_str_is_greppable(self, tmp_path):
+        (tmp_path / "x.py").write_text("def f(x=[]):\n    return x\n",
+                                       encoding="utf-8")
+        [finding] = _lint(tmp_path, tmp_path / "x.py")
+        assert str(finding) == (
+            "x.py:1: LINT-MUTABLE-DEFAULT: mutable default argument in "
+            "f(); default to None and create the container in the body")
 
 
 class TestDefaultTargets:
@@ -206,5 +214,8 @@ class TestDefaultTargets:
 
 class TestRepositoryIsClean:
     def test_simulator_sources_lint_clean(self):
-        findings = lint_paths(default_lint_targets())
+        # The pass itself, not run_passes: no suppression comment may
+        # hide a finding here.
+        findings = run_lint(AnalysisContext(
+            root=Path(__file__).resolve().parent.parent))
         assert findings == [], "\n".join(str(f) for f in findings)

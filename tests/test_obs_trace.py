@@ -5,11 +5,13 @@ import json
 
 import pytest
 
-from repro.config import wsrs_rc
+from repro.config import baseline_rr_256, wsrs_rc
 from repro.core.processor import Processor
+from repro.frontend.predictors import AlwaysTakenPredictor
 from repro.obs.analyzer import format_summary, read_events, summarize
 from repro.obs.tracer import PipelineTracer, TraceSchemaError
 from repro.trace.profiles import spec_trace
+from tests.conftest import ialu, load
 
 MEASURE = 2_000
 
@@ -77,6 +79,53 @@ class TestTracerRoundTrip:
         jumps = [e for e in read_events(str(specialized)) if e["t"] == "J"]
         assert jumps, "gzip on the specialized gear must jump at least once"
         assert all(e["to"] > e["c"] for e in jumps)
+
+
+def _traced_micro(path, trace):
+    """Trace a hand-built instruction list to its end on RR 256."""
+    with PipelineTracer(str(path)) as tracer:
+        processor = Processor(baseline_rr_256(), trace, tracer=tracer,
+                              predictor=AlwaysTakenPredictor())
+        tracer.close(processor.run(measure=max(1, len(trace))))
+    return summarize(str(path))
+
+
+class TestAnalyzerWaits:
+    def test_records_every_committed_instruction(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        summary = _traced_micro(path, [ialu(1 + i % 8) for i in range(40)])
+        assert summary["events"]["R"] == 40
+        retired = [e["q"] for e in read_events(str(path)) if e["t"] == "R"]
+        assert retired == list(range(40))
+
+    def test_milestones_are_ordered(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        _traced_micro(path, [ialu(1 + i % 8) for i in range(30)])
+        cycles = {}
+        for event in read_events(str(path)):
+            if event["t"] in ("D", "I", "R"):
+                cycles.setdefault(event["q"], {})[event["t"]] = event["c"]
+        assert len(cycles) == 30
+        for milestones in cycles.values():
+            # Completion lies strictly after issue and no later than commit.
+            assert milestones["D"] < milestones["I"] < milestones["R"]
+
+    def test_load_miss_latency_visible(self, tmp_path):
+        # A compulsory miss: 94 cycles from issue to commit.
+        summary = _traced_micro(tmp_path / "run.jsonl",
+                                [load(1, 2, addr=0x8000)])
+        assert summary["mean_commit_wait"] == 94
+
+    def test_dependent_chain_shows_issue_wait(self, tmp_path):
+        summary = _traced_micro(tmp_path / "run.jsonl",
+                                [ialu(1, src1=1) for _ in range(20)])
+        assert summary["mean_issue_wait"] > 1.0
+
+    def test_waits_are_zero_without_uops(self, tmp_path):
+        summary = _traced_micro(tmp_path / "run.jsonl", [])
+        assert summary["events"]["D"] == 0
+        assert summary["mean_issue_wait"] == 0.0
+        assert summary["mean_commit_wait"] == 0.0
 
 
 class TestSampling:

@@ -24,7 +24,7 @@ import json
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analyze.passes.spec_equiv import sampled_configs
 from repro.config import (
@@ -226,9 +226,6 @@ def test_deadlock_policy_is_inert_on_a_register_starved_machine(
 def test_deadlock_policy_is_inert_on_a_deadlock_free_machine(seed,
                                                              benchmark):
     config = sampled_configs(1, seed=seed)[0]
-    # Without a load/store unit no load ever issues: the pipeline stalls
-    # for 100k cycles whatever the policy.
-    assume(config.cluster.num_lsus > 0)
     keys = {config.with_changes(deadlock_policy=policy).simulation_key
             for policy in ("none", "moves", "raise")}
     if not config.deadlock_free:
