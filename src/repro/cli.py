@@ -397,18 +397,12 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             else loadtest.DEFAULT_BENCHMARKS,
             configs=(args.config,) if args.config
             else loadtest.FLEET_CONFIGS,
-            measure=args.measure if args.measure is not None else 500,
-            warmup=args.warmup if args.warmup is not None else 250,
+            measure=args.measure if args.measure is not None
+            else loadtest.FLEET_MEASURE,
+            warmup=args.warmup if args.warmup is not None
+            else loadtest.FLEET_WARMUP,
             seed=args.seed, out=args.out or "BENCH_fleet.json",
-            kill_test=not args.no_kill,
-            cell_delay_ms=args.cell_delay_ms
-            if args.cell_delay_ms is not None
-            else loadtest.DEFAULT_CELL_DELAY_MS)
-        if args.min_speedup is not None \
-                and record["speedup"] < args.min_speedup:
-            print(f"fleet speedup {record['speedup']}x below the "
-                  f"{args.min_speedup}x floor", file=sys.stderr)
-            return 1
+            kill_test=not args.no_kill)
         kills_ok = all(record[name] is None or record[name]["ok"]
                        for name in ("kill", "drain"))
         return 0 if record["identical"] and kills_ok else 1
@@ -436,12 +430,10 @@ def _cmd_fleet_coordinator(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_worker(args: argparse.Namespace) -> int:
-    from repro.fleet.worker import delay_runner, serve_worker
+    from repro.fleet.worker import serve_worker
 
-    scheduler = _scheduler_from_args(
-        args, cell_runner=delay_runner(args.cell_delay_ms))
-    return serve_worker(scheduler, host=args.host, port=args.port,
-                        coordinator_url=args.coordinator)
+    return serve_worker(_scheduler_from_args(args), host=args.host,
+                        port=args.port, coordinator_url=args.coordinator)
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -788,10 +780,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to one configuration")
     py.add_argument("--measure", type=int, default=None,
                     help="measured slice per cell (default: 4000, or "
-                         "500 with --fleet)")
+                         "20000 with --fleet)")
     py.add_argument("--warmup", type=int, default=None,
                     help="warm-up instructions per cell (default: 2000, "
-                         "or 250 with --fleet)")
+                         "or 10000 with --fleet)")
     py.add_argument("--seed", type=int, default=1)
     py.add_argument("--passes", type=int, default=2,
                     help=">= 2 exercises the result-store fast path "
@@ -806,17 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     py.add_argument("--no-kill", action="store_true",
                     help="skip the fleet kill and drain tests (--fleet "
                          "only)")
-    py.add_argument("--cell-delay-ms", type=float, default=None,
-                    metavar="MS",
-                    help="per-cell service-time floor of the fleet "
-                         "scaling passes (default: 800; 0 measures raw "
-                         "compute scaling - needs at least as many cores "
-                         "as nodes)")
-    py.add_argument("--min-speedup", type=float, default=None,
-                    metavar="X",
-                    help="exit non-zero unless the largest fleet's "
-                         "throughput is at least X times the 1-worker "
-                         "baseline (--fleet only; the CI gate)")
     py.set_defaults(func=_cmd_loadtest)
 
     pq = sub.add_parser(
@@ -896,10 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         retry_help="requeues after pool-worker crashes before failing",
         store_help="worker-local result-store directory (answers "
                    "only the jobs leased to this node)")
-    pfw.add_argument("--cell-delay-ms", type=float, default=0.0,
-                     metavar="MS",
-                     help="per-cell service-time floor (the scaling "
-                          "bench's queuing-station model; 0 = off)")
     pfw.set_defaults(func=_cmd_fleet_worker)
 
     pt = sub.add_parser("savetrace", help="freeze a workload to a file")

@@ -85,7 +85,6 @@ class LocalFleet:
                  retry_budget: int = 2,
                  job_timeout: float = 600.0,
                  worker_drain_timeout: float = 10.0,
-                 cell_delay_ms: float = 0.0,
                  announce: Callable[[str], None] = print) -> None:
         if workers < 1:
             raise ValueError("a fleet needs at least one worker")
@@ -95,7 +94,6 @@ class LocalFleet:
         self.retry_budget = retry_budget
         self.job_timeout = job_timeout
         self.worker_drain_timeout = worker_drain_timeout
-        self.cell_delay_ms = cell_delay_ms
         self.announce = announce
         self.url: Optional[str] = None
         self.worker_urls: List[str] = []
@@ -130,8 +128,7 @@ class LocalFleet:
                  "--coordinator", self.url,
                  "--workers", str(self.server_workers),
                  "--store", f"{self._tmp.name}/worker-{index}",
-                 "--drain-timeout", str(self.worker_drain_timeout),
-                 "--cell-delay-ms", str(self.cell_delay_ms)],
+                 "--drain-timeout", str(self.worker_drain_timeout)],
                 env=env, stdout=subprocess.DEVNULL,
                 start_new_session=True))
         try:

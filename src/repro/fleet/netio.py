@@ -1,16 +1,18 @@
 """Tiny asyncio HTTP/1.1 JSON client (stdlib only).
 
-The coordinator lives on an event loop and must never block it
-(the repo-wide ASYNC-BLOCKING-CALL rule), so it cannot use
+A fleet worker's lease loop (:func:`repro.fleet.worker.lease_loop`)
+and its report path run on the worker's event loop, which must never
+block (the repo-wide ASYNC-BLOCKING-CALL rule), so they cannot use
 :mod:`http.client` the way :class:`repro.service.client.ServiceClient`
 does.  This module is the async counterpart: one connection per request
 (matching the service's ``Connection: close`` replies), JSON in and
 out, a hard per-request timeout, and every transport failure folded
-into one exception type so callers can treat "the node is unreachable"
-uniformly.
+into one exception type so a worker can treat "the coordinator is
+unreachable" uniformly.  The coordinator itself makes no outbound
+requests: workers come to it.
 
-It deliberately implements only what the fleet needs - talking to
-:mod:`repro.service.server` instances on the local network - not a
+It deliberately implements only what the fleet needs - talking to a
+:mod:`repro.service.server` instance on the local network - not a
 general HTTP client.
 """
 

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import time
 from typing import Callable, Dict, Optional, Set
 
-from repro.experiments.runner import RunResult, RunSpec, execute
 from repro.fleet.coordinator import LEASE_HOLD_S
 from repro.fleet.netio import TransportError, request_json
 from repro.service.jobs import Job
@@ -34,32 +32,6 @@ RETRY_PAUSE_S = 0.25
 #: Per-request timeout for reports, and on top of the hold for lease
 #: exchanges (seconds).
 REQUEST_TIMEOUT_S = 10.0
-
-
-def delayed_execute(delay_seconds: float, spec: RunSpec) -> RunResult:
-    """Run one cell after a fixed service-time floor.
-
-    The scaling bench uses this to model per-node service time (the
-    Carroll & Lin queuing view: a node is a service station with a
-    known rate): on a host with fewer cores than nodes, raw CPU-bound
-    cells cannot exhibit wall-clock scaling no matter how well the
-    fleet shares work, so the bench adds a floor that *waits* instead of
-    computing.  Results are untouched - the real simulator still runs,
-    so bit-identity against the direct matrix still verifies
-    correctness.  Module-level (and used via ``functools.partial``) so
-    it pickles into pool workers.
-    """
-    if delay_seconds > 0:
-        time.sleep(delay_seconds)
-    return execute(spec)
-
-
-def delay_runner(cell_delay_ms: float) -> Optional[Callable]:
-    """The cell runner for a per-cell service-time floor (None = the
-    plain simulator); see :func:`delayed_execute`."""
-    if cell_delay_ms <= 0:
-        return None
-    return functools.partial(delayed_execute, cell_delay_ms / 1000.0)
 
 
 async def lease_loop(scheduler: Scheduler, coordinator: str, node: str,

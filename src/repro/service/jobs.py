@@ -168,7 +168,10 @@ def parse_request(payload: object) -> JobRequest:
     seed = _require_int(payload, "seed", 1, 0, 2 ** 31 - 1)
     priority = _require_int(payload, "priority", DEFAULT_PRIORITY,
                             MIN_PRIORITY, MAX_PRIORITY)
-    observe = bool(payload.get("observe", kind == "stacks"))
+    observe = payload.get("observe", kind == "stacks")
+    if not isinstance(observe, bool):
+        raise JobValidationError(
+            f"observe must be a JSON boolean, got {observe!r}")
     if kind == "stacks":
         observe = True  # the CPI stack *is* the stacks result
     return JobRequest(kind=kind, benchmarks=tuple(benchmarks),

@@ -78,6 +78,10 @@ from repro.service.store import ResultStore
 #: Finished jobs a scheduler without a result store keeps answering
 #: for (about 3.4 KB each); older ones are forgotten, oldest first.
 FINISHED_JOBS_KEPT = 1024
+#: Floor of the Retry-After hint handed to shed clients (seconds).
+MIN_RETRY_AFTER = 1
+#: Ceiling of the Retry-After hint (seconds).
+MAX_RETRY_AFTER = 60
 
 
 @dataclass(frozen=True)
@@ -96,10 +100,6 @@ class SchedulerConfig:
     retry_budget: int = 2
     #: How long shutdown waits for running jobs to finish (seconds).
     drain_timeout: float = 30.0
-    #: Floor of the Retry-After hint handed to shed clients (seconds).
-    min_retry_after: int = 1
-    #: Ceiling of the Retry-After hint (seconds).
-    max_retry_after: int = 60
     #: Run the store's bulk eviction every N submissions (0 = never).
     evict_every: int = 64
 
@@ -238,7 +238,7 @@ class Scheduler:
         if not self._accepting:
             self.registry.count("admission_shed_total")
             return Admission(status=503, error="server is draining",
-                             retry_after=self.config.max_retry_after)
+                             retry_after=MAX_RETRY_AFTER)
         try:
             request = jobmodel.parse_request(payload)
         except JobValidationError as exc:
@@ -321,11 +321,10 @@ class Scheduler:
             f"{self.backend.prefix}job_latency_ms")
         mean_ms = latency.mean if latency is not None else 0.0
         if mean_ms <= 0:
-            return self.config.min_retry_after
+            return MIN_RETRY_AFTER
         waves = math.ceil((self._queued + 1) / self.backend.slots)
         estimate = math.ceil(waves * mean_ms / 1000.0)
-        return max(self.config.min_retry_after,
-                   min(self.config.max_retry_after, estimate))
+        return max(MIN_RETRY_AFTER, min(MAX_RETRY_AFTER, estimate))
 
     # -- queries ---------------------------------------------------------
 

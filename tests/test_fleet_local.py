@@ -85,8 +85,7 @@ def test_fleet_survives_node_loss_and_replays_results(
                                     seed)
                 for seed in (DRAIN_SEED, KILL_SEED)}
 
-    fleet = LocalFleet(workers=3, cell_delay_ms=400.0,
-                       worker_drain_timeout=5.0,
+    fleet = LocalFleet(workers=3, worker_drain_timeout=5.0,
                        announce=lambda _message: None)
     with fleet:
         pgids = fleet.worker_pgids
@@ -159,8 +158,7 @@ def test_a_killed_worker_leaves_no_semaphore(tmp_path, monkeypatch):
     requests = _job_requests(BENCHMARKS, CONFIGS, MEASURE, WARMUP,
                              KILL_SEED)
     before = _semaphores()
-    with LocalFleet(workers=2, cell_delay_ms=400.0,
-                    worker_drain_timeout=5.0,
+    with LocalFleet(workers=2, worker_drain_timeout=5.0,
                     announce=lambda _message: None) as fleet:
         client = ServiceClient(fleet.url, client_id="fleet-test")
         _victim, finals = _run_matrix_killing(fleet, client, requests,

@@ -46,6 +46,7 @@ class TestValidation:
         {"seed": -5},
         {"priority": 99},
         {"measure": True},             # bool is not an int here
+        {"observe": "false"},          # a truthy string, not False
     ])
     def test_defective_payloads_rejected(self, defect):
         with pytest.raises(JobValidationError):

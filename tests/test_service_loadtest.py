@@ -33,26 +33,41 @@ class TestPercentile:
         assert percentile([7.0], 0.99) == 7.0
 
 
-def _point(*throughputs):
-    return {"passes": [{"throughput_jobs_per_s": value}
-                       for value in throughputs]}
+def _scaling(*points):
+    """Scaling points at 1, 2, ... workers, one row of pass
+    throughputs each."""
+    return [{"workers": index + 1,
+             "passes": [{"throughput_jobs_per_s": value}
+                        for value in throughputs]}
+            for index, throughputs in enumerate(points)]
 
 
 class TestFleetSpeedup:
     def test_one_slow_pass_does_not_move_the_speedup(self):
-        # A late round at 3 nodes (2.6 jobs/s) would read 2.167x from
+        # A late round at 2 nodes (2.6 jobs/s) would read 2.167x from
         # that pass alone; the medians read 3.1 / 1.2.
-        scaling = [_point(1.2, 1.2, 1.1), _point(3.1, 2.6, 3.2)]
-        assert fleet_speedup(scaling) == round(3.1 / 1.2, 3)
+        scaling = _scaling((1.2, 1.2, 1.1), (3.1, 2.6, 3.2))
+        assert fleet_speedup(scaling, 8) == (round(3.1 / 1.2, 3), 2)
 
     def test_compares_the_first_and_last_points(self):
-        scaling = [_point(1.0, 1.0, 1.0), _point(9.0, 9.0, 9.0),
-                   _point(2.0, 2.5, 3.0)]
-        assert fleet_speedup(scaling) == 2.5
+        scaling = _scaling((1.0, 1.0, 1.0), (9.0, 9.0, 9.0),
+                           (2.0, 2.5, 3.0))
+        assert fleet_speedup(scaling, 8) == (2.5, 3)
 
     def test_a_dead_baseline_reads_zero(self):
-        assert fleet_speedup([_point(0.0, 0.0, 0.0),
-                              _point(2.0, 2.0, 2.0)]) == 0.0
+        assert fleet_speedup(_scaling((0.0, 0.0, 0.0), (2.0, 2.0, 2.0)),
+                             8) == (0.0, 2)
+
+    @pytest.mark.parametrize("cpu_count, basis", [
+        (2, 2),        # three CPU-bound nodes on two cores gain <= 2x
+        (8, 3),
+        (None, 3),     # os.cpu_count() could not tell
+    ])
+    def test_the_basis_is_min_of_workers_and_cpu_count(self, cpu_count,
+                                                       basis):
+        scaling = _scaling((1.0, 1.0, 1.0), (1.8, 1.8, 1.8),
+                           (1.5, 1.5, 1.5))
+        assert fleet_speedup(scaling, cpu_count) == (1.5, basis)
 
 
 @pytest.fixture(scope="module")
